@@ -21,7 +21,9 @@
 //! [`matmul_parallel`] return **bitwise-identical** results for any thread
 //! count and any row partition — on finite *and* non-finite inputs (there
 //! are no data-dependent skips: a `0.0 × ∞` contributes the same `NaN` in
-//! every kernel).
+//! every kernel). [`matmul_at_b`] and [`matmul_a_bt`] run the same kernel
+//! on a transposed copy of one operand, so they are bound by the same
+//! contract.
 
 use crate::matrix::Matrix;
 use std::sync::OnceLock;
@@ -261,7 +263,15 @@ fn pack_b_panel(bs: &[f64], n: usize, kk: usize, kc: usize, jj: usize, nr: usize
     }
 }
 
-/// `Aᵀ · B` without materializing the transpose.
+/// `Aᵀ · B` on the blocked kernel.
+///
+/// Transposes `A` into a scratch copy and hands it to [`matmul`], so the
+/// result is bitwise-identical to `matmul(&a.transpose(), b)` and carries
+/// the module's determinism contract. The copy costs `O(rows·cols)`
+/// against the product's `O(rows·cols·b.cols())`.
+///
+/// # Panics
+/// If `a.rows() != b.rows()`.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     // panic-ok: documented API precondition; shape mismatch is a caller bug.
     assert_eq!(
@@ -271,23 +281,18 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let (n_obs, m) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    for r in 0..n_obs {
-        let arow = a.row(r);
-        let brow = b.row(r);
-        for (i, &av) in arow.iter().enumerate() {
-            let orow = out.row_mut(i);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
+    matmul(&a.transpose(), b)
 }
 
-/// `A · Bᵀ` without materializing the transpose.
+/// `A · Bᵀ` on the blocked kernel.
+///
+/// Transposes `B` into a scratch copy and hands it to [`matmul`], so the
+/// result is bitwise-identical to `matmul(a, &b.transpose())` and carries
+/// the module's determinism contract. The copy costs `O(rows·cols)`
+/// against the product's `O(a.rows()·rows·cols)`.
+///
+/// # Panics
+/// If `a.cols() != b.cols()`.
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     // panic-ok: documented API precondition; shape mismatch is a caller bug.
     assert_eq!(
@@ -297,18 +302,7 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
         a.shape(),
         b.shape()
     );
-    let m = a.rows();
-    let n = b.rows();
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let arow = a.row(i);
-        let orow = out.row_mut(i);
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = b.row(j);
-            *o = dot(arow, brow);
-        }
-    }
-    out
+    matmul(a, &b.transpose())
 }
 
 /// Matrix–vector product `A · x`.
@@ -444,6 +438,9 @@ mod tests {
             let got = matmul_partitioned(&a, &b, threads);
             assert!(bits_eq(&got, &reference), "partition {threads} diverged");
         }
+        // The transposed-operand entry points run the same kernel.
+        assert!(bits_eq(&matmul_at_b(&a.transpose(), &b), &reference));
+        assert!(bits_eq(&matmul_a_bt(&a, &b.transpose()), &reference));
     }
 
     #[test]
@@ -483,6 +480,14 @@ mod tests {
                     "partition {threads} vs serial diverged on non-finite case {case}"
                 );
             }
+            assert!(
+                bits_eq(&matmul_at_b(&a.transpose(), &b), &serial),
+                "Aᵀ·B vs serial diverged on non-finite case {case}"
+            );
+            assert!(
+                bits_eq(&matmul_a_bt(&a, &b.transpose()), &serial),
+                "A·Bᵀ vs serial diverged on non-finite case {case}"
+            );
             // A 0·∞ product must surface as NaN, never be skipped away.
             if a.as_slice().iter().any(|v| v.is_nan() || v.is_infinite())
                 || b.as_slice().iter().any(|v| v.is_nan() || v.is_infinite())

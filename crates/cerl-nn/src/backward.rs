@@ -5,6 +5,12 @@
 //! gradients are additionally folded per [`ParamId`] (a parameter may
 //! appear at several tape positions, e.g. when the same representation
 //! network is applied to two batches).
+//!
+//! Only nodes that require a gradient receive one: parameters,
+//! [`Graph::input_with_grad`] leaves and everything computed from them.
+//! An operand's gradient is not even computed when the operand is a plain
+//! [`Graph::input`] or derived from inputs alone — e.g. `go·Wᵀ` for a
+//! layer's data input, the largest backward GEMM of a training step.
 
 use crate::graph::{Graph, NodeId, Op, NORM_EPS};
 use crate::params::ParamId;
@@ -24,8 +30,10 @@ impl Gradients {
         self.param_grads.get(&id.index())
     }
 
-    /// Gradient w.r.t. an arbitrary node (including `input_with_grad`
-    /// leaves), or `None` when no gradient reached it.
+    /// Gradient w.r.t. a node that requires one (a parameter, an
+    /// `input_with_grad` leaf, or a node computed from either), or `None`
+    /// when no gradient reached it. Plain `input` leaves and nodes computed
+    /// from them alone always report `None`.
     pub fn node_grad(&self, id: NodeId) -> Option<&Matrix> {
         self.node_grads.get(id.index()).and_then(|g| g.as_ref())
     }
@@ -115,10 +123,20 @@ impl Graph {
         }
     }
 
-    fn accumulate(&self, grads: &mut [Option<Matrix>], target: NodeId, delta: Matrix) {
-        // Skip subtrees that cannot reach a parameter *and* are not
-        // gradient-tracked inputs — except plain inputs, whose grads we
-        // still store because callers may inspect them.
+    /// Add `delta()` to `target`'s gradient. When `target` does not
+    /// require a gradient, `delta` is never evaluated, so the work of an
+    /// unwanted operand gradient is skipped along with its storage; no
+    /// gradient then reaches the subtree behind `target` either.
+    fn accumulate(
+        &self,
+        grads: &mut [Option<Matrix>],
+        target: NodeId,
+        delta: impl FnOnce() -> Matrix,
+    ) {
+        if !self.nodes[target.index()].requires_grad {
+            return;
+        }
+        let delta = delta();
         match &mut grads[target.index()] {
             Some(acc) => acc.add_assign(&delta),
             slot @ None => *slot = Some(delta),
@@ -130,46 +148,44 @@ impl Graph {
         match op {
             Op::Input | Op::Param(_) => {}
             Op::Add(a, b) => {
-                self.accumulate(grads, *a, go.clone());
-                self.accumulate(grads, *b, go.clone());
+                self.accumulate(grads, *a, || go.clone());
+                self.accumulate(grads, *b, || go.clone());
             }
             Op::Sub(a, b) => {
-                self.accumulate(grads, *a, go.clone());
-                self.accumulate(grads, *b, go.scale(-1.0));
+                self.accumulate(grads, *a, || go.clone());
+                self.accumulate(grads, *b, || go.scale(-1.0));
             }
             Op::Mul(a, b) => {
-                let da = go.hadamard(self.value(*b));
-                let db = go.hadamard(self.value(*a));
-                self.accumulate(grads, *a, da);
-                self.accumulate(grads, *b, db);
+                self.accumulate(grads, *a, || go.hadamard(self.value(*b)));
+                self.accumulate(grads, *b, || go.hadamard(self.value(*a)));
             }
             Op::Scale(a, c) => {
-                self.accumulate(grads, *a, go.scale(*c));
+                self.accumulate(grads, *a, || go.scale(*c));
             }
             Op::AddScalar(a) => {
-                self.accumulate(grads, *a, go.clone());
+                self.accumulate(grads, *a, || go.clone());
             }
             Op::AddRowBroadcast(m, bias) => {
-                self.accumulate(grads, *m, go.clone());
+                self.accumulate(grads, *m, || go.clone());
                 // Bias gradient: column sums of go.
-                let mut db = Matrix::zeros(1, go.cols());
-                for i in 0..go.rows() {
-                    for (j, &v) in go.row(i).iter().enumerate() {
-                        db[(0, j)] += v;
+                self.accumulate(grads, *bias, || {
+                    let mut db = Matrix::zeros(1, go.cols());
+                    for i in 0..go.rows() {
+                        for (j, &v) in go.row(i).iter().enumerate() {
+                            db[(0, j)] += v;
+                        }
                     }
-                }
-                self.accumulate(grads, *bias, db);
+                    db
+                });
             }
             Op::MatMul(a, b) => {
-                let da = matmul_a_bt(go, self.value(*b));
-                let db = matmul_at_b(self.value(*a), go);
-                self.accumulate(grads, *a, da);
-                self.accumulate(grads, *b, db);
+                self.accumulate(grads, *a, || matmul_a_bt(go, self.value(*b)));
+                self.accumulate(grads, *b, || matmul_at_b(self.value(*a), go));
             }
             Op::Relu(a) => {
                 let x = self.value(*a);
                 let da = go.zip_map(x, |g, xv| if xv > 0.0 { g } else { 0.0 });
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Elu(a, alpha) => {
                 let x = self.value(*a);
@@ -182,48 +198,48 @@ impl Graph {
                         g * (y[(i, j)] + alpha)
                     }
                 });
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Sigmoid(a) => {
                 let y = self.value(NodeId(idx));
                 let da = go.zip_map(y, |g, yv| g * yv * (1.0 - yv));
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Tanh(a) => {
                 let y = self.value(NodeId(idx));
                 let da = go.zip_map(y, |g, yv| g * (1.0 - yv * yv));
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Square(a) => {
                 let x = self.value(*a);
                 let da = go.zip_map(x, |g, xv| 2.0 * g * xv);
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Abs(a) => {
                 let x = self.value(*a);
                 let da = go.zip_map(x, |g, xv| g * sign0(xv));
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Exp(a) => {
                 let y = self.value(NodeId(idx));
                 let da = go.zip_map(y, |g, yv| g * yv);
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::Sum(a) => {
                 let s = go[(0, 0)];
                 let x = self.value(*a);
-                self.accumulate(grads, *a, Matrix::filled(x.rows(), x.cols(), s));
+                self.accumulate(grads, *a, || Matrix::filled(x.rows(), x.cols(), s));
             }
             Op::Mean(a) => {
                 let x = self.value(*a);
                 let n = x.len().max(1) as f64;
                 let s = go[(0, 0)] / n;
-                self.accumulate(grads, *a, Matrix::filled(x.rows(), x.cols(), s));
+                self.accumulate(grads, *a, || Matrix::filled(x.rows(), x.cols(), s));
             }
             Op::RowSum(a) => {
                 let x = self.value(*a);
                 let da = Matrix::from_fn(x.rows(), x.cols(), |i, _| go[(i, 0)]);
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::RowL2Normalize(a) => {
                 let x = self.value(*a);
@@ -242,7 +258,7 @@ impl Graph {
                         *d = (g - yv * dotyg) / norm;
                     }
                 }
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::ColL2Normalize(a) => {
                 let x = self.value(*a);
@@ -271,7 +287,7 @@ impl Graph {
                         }
                     }
                 }
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::SelectRows(a, indices) => {
                 let x = self.value(*a);
@@ -283,14 +299,14 @@ impl Graph {
                         *d += g;
                     }
                 }
-                self.accumulate(grads, *a, da);
+                self.accumulate(grads, *a, || da);
             }
             Op::ConcatRows(a, b) => {
                 let na = self.value(*a).rows();
                 let idx_a: Vec<usize> = (0..na).collect();
                 let idx_b: Vec<usize> = (na..go.rows()).collect();
-                self.accumulate(grads, *a, go.select_rows(&idx_a));
-                self.accumulate(grads, *b, go.select_rows(&idx_b));
+                self.accumulate(grads, *a, || go.select_rows(&idx_a));
+                self.accumulate(grads, *b, || go.select_rows(&idx_b));
             }
             Op::Custom { inputs, op } => {
                 let in_values: Vec<&Matrix> = inputs.iter().map(|&i| self.value(i)).collect();
@@ -311,7 +327,7 @@ impl Graph {
                         "custom op '{}': gradient shape mismatch",
                         op.name()
                     );
-                    self.accumulate(grads, inp, d);
+                    self.accumulate(grads, inp, || d);
                 }
             }
         }
@@ -428,5 +444,66 @@ mod tests {
         let grads = g.backward(loss);
         let gx = grads.node_grad(x).unwrap();
         assert!(gx.approx_eq(&Matrix::from_vec(1, 2, vec![4.0, 6.0]), 1e-14));
+    }
+
+    /// Masked two-layer regression whose data operand is a plain or a
+    /// gradient-tracked input; returns its params, tape, data leaf and loss.
+    fn two_layer(tracked: bool) -> (Vec<ParamId>, Graph, NodeId, NodeId) {
+        let mut store = ParamStore::new();
+        let w1 = store.add(
+            "w1",
+            Matrix::from_fn(5, 4, |i, j| ((i * 4 + j) as f64 * 0.7).sin()),
+        );
+        let b1 = store.add("b1", Matrix::from_fn(1, 4, |_, j| 0.1 * j as f64));
+        let w2 = store.add("w2", Matrix::from_fn(4, 1, |i, _| (i as f64 * 1.3).cos()));
+        let x = Matrix::from_fn(6, 5, |i, j| ((i * 5 + j) as f64 * 0.37).cos());
+        let mask = Matrix::from_fn(6, 1, |i, _| (i % 2) as f64);
+        let mut g = Graph::new();
+        let xin = if tracked {
+            g.input_with_grad(x)
+        } else {
+            g.input(x)
+        };
+        let m = g.input(mask);
+        let (w1n, b1n, w2n) = (
+            g.param(&store, w1),
+            g.param(&store, b1),
+            g.param(&store, w2),
+        );
+        let xw = g.matmul(xin, w1n);
+        let h = g.add_row_broadcast(xw, b1n);
+        let h = g.elu(h, 1.0);
+        let y = g.matmul(h, w2n);
+        let ym = g.mul(y, m);
+        let d = g.sub(ym, m);
+        let sq = g.square(d);
+        let loss = g.mean(sq);
+        (vec![w1, b1, w2], g, xin, loss)
+    }
+
+    #[test]
+    fn plain_input_gets_no_gradient() {
+        let (_, g, x, loss) = two_layer(false);
+        let grads = g.backward(loss);
+        assert!(grads.node_grad(x).is_none());
+        let (_, g, x, loss) = two_layer(true);
+        let grads = g.backward(loss);
+        assert_eq!(grads.node_grad(x).map(Matrix::shape), Some((6, 5)));
+    }
+
+    #[test]
+    fn skipping_input_gradients_leaves_param_gradients_bitwise_unchanged() {
+        let (params, g, _, loss) = two_layer(false);
+        let skipped = g.backward(loss);
+        let (_, g, _, loss) = two_layer(true);
+        let full = g.backward(loss);
+        for p in params {
+            let (a, b) = (skipped.param_grad(p).unwrap(), full.param_grad(p).unwrap());
+            assert!(a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
     }
 }

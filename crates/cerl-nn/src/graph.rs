@@ -135,8 +135,9 @@ impl Graph {
 
     // ---- leaves ------------------------------------------------------
 
-    /// Data leaf (no gradient flows into it, but gradients w.r.t. it are
-    /// still computed when requested via `backward_wrt`).
+    /// Data leaf. [`Graph::backward`] computes no gradient for it, nor for
+    /// nodes computed from inputs alone; use [`Graph::input_with_grad`]
+    /// when the gradient w.r.t. the data is wanted.
     pub fn input(&mut self, value: Matrix) -> NodeId {
         self.push(value, Op::Input, false)
     }

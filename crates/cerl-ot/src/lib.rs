@@ -3,7 +3,8 @@
 //! Integral probability metrics for representation balancing, with
 //! gradients that plug into the `cerl-nn` tape:
 //!
-//! * [`sinkhorn`] — log-domain Sinkhorn solver for entropy-regularized OT.
+//! * [`sinkhorn`] — Sinkhorn solver for entropy-regularized OT (scaling
+//!   form, with a log-domain fallback for small `ε`).
 //! * [`wasserstein`](mod@wasserstein) — the paper's IPM (Eq. 3): Sinkhorn-Wasserstein
 //!   between treated/control representation batches, with envelope
 //!   gradients through the cached transport plan.

@@ -1,11 +1,26 @@
-//! Log-domain Sinkhorn iterations for entropy-regularized optimal transport.
+//! Sinkhorn iterations for entropy-regularized optimal transport.
 //!
 //! The paper balances treated/control representation distributions with an
 //! IPM instantiated as the Wasserstein distance (Eq. 3), following the CFR
-//! line of work, which computes it with Sinkhorn iterations. The log-domain
-//! form is robust to small `ε`.
+//! line of work, which computes it with Sinkhorn iterations.
+//!
+//! The solver runs in scaling form: it builds the Gibbs kernel
+//! `K = exp(−C/ε)` once, alternates `u = a ⊘ (K v)` and `v = b ⊘ (Kᵀ u)` as
+//! row-major GEMV sweeps, and forms the plan `P = diag(u) K diag(v)` in
+//! `K`'s buffer — one `exp` per cell per solve instead of two per cell per
+//! iteration. These are the iterates of the log-domain potentials
+//! (`u = e^{f/ε}`, `v = e^{g/ε}`, both starting at 1), so both forms agree
+//! up to rounding. When `K` could underflow (`max |C|/ε` above 200) or a
+//! scaling comes out non-finite or non-positive, the solver falls back to
+//! the log-domain form, which is robust to small `ε` and lets a non-finite
+//! cost surface as a non-finite result.
 
-use cerl_math::Matrix;
+use cerl_math::{dot, Matrix};
+
+/// Largest `|C_ij|/ε` the scaling form accepts. `exp(−200)` ≈ 1e-87 leaves
+/// the scalings ~220 decades of headroom before they over- or underflow;
+/// beyond it the log-domain form takes over.
+const SCALING_LIMIT: f64 = 200.0;
 
 /// Configuration for the Sinkhorn solver.
 #[derive(Debug, Clone, Copy)]
@@ -84,12 +99,78 @@ pub fn sinkhorn_plan(cost: &Matrix, a: &[f64], b: &[f64], cfg: &SinkhornConfig) 
     }
     .max(1e-12);
 
+    let iterations = cfg.iterations.max(1);
+    let (plan, cost) = scaling_form(cost, a, b, eps, iterations)
+        .unwrap_or_else(|| log_domain(cost, a, b, eps, iterations));
+    SinkhornResult {
+        plan,
+        cost,
+        effective_epsilon: eps,
+    }
+}
+
+/// Scaling-form Sinkhorn, returning the plan and `⟨P, C⟩`; `None` when
+/// the kernel could underflow or a scaling leaves `(0, ∞)`, in which case
+/// the caller falls back to [`log_domain`].
+fn scaling_form(
+    cost: &Matrix,
+    a: &[f64],
+    b: &[f64],
+    eps: f64,
+    iterations: usize,
+) -> Option<(Matrix, f64)> {
+    // Written so that a NaN cost fails the test and takes the fallback.
+    if !cost
+        .as_slice()
+        .iter()
+        .all(|&c| c.abs() <= SCALING_LIMIT * eps)
+    {
+        return None;
+    }
+    let mut k = cost.map(|c| (-c / eps).exp());
+    let mut u = vec![1.0; a.len()];
+    let mut v = vec![1.0; b.len()];
+    let mut kt_u = vec![0.0; b.len()];
+    for _ in 0..iterations {
+        // u ← a ⊘ (K v)
+        for (i, (ui, &ai)) in u.iter_mut().zip(a).enumerate() {
+            *ui = ai / dot(k.row(i), &v);
+        }
+        // v ← b ⊘ (Kᵀ u), accumulated row by row so K is read row-major.
+        kt_u.fill(0.0);
+        for (i, &ui) in u.iter().enumerate() {
+            for (s, &kij) in kt_u.iter_mut().zip(k.row(i)) {
+                *s += ui * kij;
+            }
+        }
+        for ((vj, &bj), &s) in v.iter_mut().zip(b).zip(&kt_u) {
+            *vj = bj / s;
+        }
+        if !u.iter().chain(&v).all(|&x| x.is_finite() && x > 0.0) {
+            return None;
+        }
+    }
+    // P = diag(u) K diag(v), in place.
+    let mut total = 0.0;
+    for (i, &ui) in u.iter().enumerate() {
+        for ((p, &vj), &c) in k.row_mut(i).iter_mut().zip(&v).zip(cost.row(i)) {
+            *p *= ui * vj;
+            total += *p * c;
+        }
+    }
+    Some((k, total))
+}
+
+/// Log-domain Sinkhorn on the potentials `f`, `g`, returning the plan and
+/// `⟨P, C⟩`. Two `exp` calls per cell per iteration, but robust to any `ε`.
+fn log_domain(cost: &Matrix, a: &[f64], b: &[f64], eps: f64, iterations: usize) -> (Matrix, f64) {
+    let (n, m) = cost.shape();
     let log_a: Vec<f64> = a.iter().map(|&v| v.ln()).collect();
     let log_b: Vec<f64> = b.iter().map(|&v| v.ln()).collect();
     let mut f = vec![0.0; n]; // potential for rows
     let mut g = vec![0.0; m]; // potential for columns
 
-    for _ in 0..cfg.iterations.max(1) {
+    for _ in 0..iterations {
         // f_i ← ε·log a_i − ε·LSE_j((g_j − C_ij)/ε)
         for i in 0..n {
             let row = cost.row(i);
@@ -126,11 +207,7 @@ pub fn sinkhorn_plan(cost: &Matrix, a: &[f64], b: &[f64], cfg: &SinkhornConfig) 
             total += p * cost[(i, j)];
         }
     }
-    SinkhornResult {
-        plan,
-        cost: total,
-        effective_epsilon: eps,
-    }
+    (plan, total)
 }
 
 /// [`sinkhorn_plan`] with uniform marginals.
@@ -145,6 +222,8 @@ pub fn sinkhorn_uniform(cost: &Matrix, cfg: &SinkhornConfig) -> SinkhornResult {
 mod tests {
     use super::*;
     use cerl_math::norms::pairwise_sq_dists;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn cfg(eps: f64, iters: usize) -> SinkhornConfig {
         SinkhornConfig {
@@ -235,5 +314,85 @@ mod tests {
         assert!((r.plan[(0, 0)] - 0.9).abs() < 1e-3);
         assert!((r.plan[(1, 1)] - 0.1).abs() < 1e-3);
         assert!(r.cost < 1e-2);
+    }
+
+    fn probabilities(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        let w: Vec<f64> = (0..n).map(|_| 0.1 + rng.gen::<f64>()).collect();
+        let total: f64 = w.iter().sum();
+        w.iter().map(|v| v / total).collect()
+    }
+
+    fn max_rel_err(got: &Matrix, want: &Matrix) -> f64 {
+        got.as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .map(|(g, w)| (g - w).abs() / w.abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn scaling_form_matches_log_domain() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for case in 0..12usize {
+            let (n, m) = (1 + (case * 7) % 40, 1 + (case * 11) % 70);
+            let cost = Matrix::from_fn(n, m, |_, _| rng.gen::<f64>() * 4.0);
+            let (a, b) = (probabilities(&mut rng, n), probabilities(&mut rng, m));
+            let eps = [0.05, 0.1, 0.5, 2.0][case % 4];
+            let iters = [1, 30, 100][case % 3];
+            let (plan, cost_s) =
+                scaling_form(&cost, &a, &b, eps, iters).expect("scaling form applies");
+            let (plan_log, cost_log) = log_domain(&cost, &a, &b, eps, iters);
+            let plan_err = max_rel_err(&plan, &plan_log);
+            let cost_err = (cost_s - cost_log).abs() / cost_log.abs();
+            assert!(plan_err <= 1e-12, "case {case}: plan rel err {plan_err:e}");
+            assert!(cost_err <= 1e-12, "case {case}: cost rel err {cost_err:e}");
+        }
+    }
+
+    #[test]
+    fn small_absolute_epsilon_takes_log_domain_fallback() {
+        // The two-point cost of `matches_exact_on_two_points` at ε = 0.001,
+        // and a cost shaped like the ε = 0.002 Wasserstein gradcheck's.
+        let mut rng = StdRng::seed_from_u64(21);
+        let xt = Matrix::from_fn(4, 3, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+        let xc = Matrix::from_fn(5, 3, |_, _| rng.gen::<f64>() * 2.0 - 0.5);
+        let two_points = pairwise_sq_dists(
+            &Matrix::from_rows(&[vec![0.0], vec![1.0]]),
+            &Matrix::from_rows(&[vec![0.1], vec![1.1]]),
+        );
+        for (cost, eps, iters) in [
+            (two_points, 0.001, 500),
+            (pairwise_sq_dists(&xt, &xc), 0.002, 4000),
+        ] {
+            let (n, m) = cost.shape();
+            let a = vec![1.0 / n as f64; n];
+            let b = vec![1.0 / m as f64; m];
+            assert!(scaling_form(&cost, &a, &b, eps, iters).is_none());
+            let r = sinkhorn_uniform(&cost, &cfg(eps, iters));
+            let (plan, total) = log_domain(&cost, &a, &b, eps, iters);
+            assert_eq!(r.plan.as_slice(), plan.as_slice());
+            assert_eq!(r.cost, total);
+            assert!(r.plan.all_finite() && r.cost.is_finite());
+        }
+    }
+
+    #[test]
+    fn nan_cost_never_yields_a_finite_plan() {
+        let configs = [
+            cfg(0.1, 30),
+            cfg(1e-3, 30),
+            SinkhornConfig {
+                epsilon: 0.1,
+                epsilon_mode: EpsilonMode::RelativeToMeanCost,
+                iterations: 30,
+            },
+        ];
+        for c in configs {
+            let mut cost = Matrix::from_fn(5, 4, |i, j| ((i * 4 + j) as f64 * 0.37).sin().abs());
+            cost[(2, 1)] = f64::NAN;
+            let r = sinkhorn_uniform(&cost, &c);
+            assert!(!r.cost.is_finite(), "{c:?}: cost {}", r.cost);
+            assert!(!r.plan.all_finite(), "{c:?}: finite plan from a NaN cost");
+        }
     }
 }

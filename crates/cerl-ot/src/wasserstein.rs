@@ -10,13 +10,17 @@
 //! ∂⟨P,C⟩/∂x_i = Σ_j P_ij · 2 (x_i − y_j),   ∂⟨P,C⟩/∂y_j = Σ_i P_ij · 2 (y_j − x_i)
 //! ```
 //!
+//! Summed over the plan, both are two GEMMs plus the plan's row/column
+//! masses: `∂/∂X_t = 2·(diag(P·1)·X_t − P·X_c)` and
+//! `∂/∂X_c = 2·(diag(Pᵀ·1)·X_c − Pᵀ·X_t)`.
+//!
 //! This is the standard practice for Sinkhorn-based penalties in the CFR
 //! family and is validated against finite differences in the tests (the
 //! envelope gradient is exact in the limit of converged potentials).
 
 use crate::sinkhorn::{sinkhorn_uniform, SinkhornConfig};
 use cerl_math::norms::pairwise_sq_dists;
-use cerl_math::Matrix;
+use cerl_math::{matmul, matmul_at_b, Matrix};
 use cerl_nn::{CustomOp, Graph, NodeId};
 use std::cell::RefCell;
 
@@ -68,27 +72,24 @@ impl CustomOp for WassersteinOp {
             .as_ref()
             .expect("WassersteinOp: backward before forward");
 
-        let (n1, d) = xt.shape();
-        let n0 = xc.rows();
-        let mut gt = Matrix::zeros(n1, d);
-        let mut gc = Matrix::zeros(n0, d);
-        for i in 0..n1 {
-            let xi = xt.row(i);
-            for j in 0..n0 {
-                let p = plan[(i, j)];
-                if p == 0.0 {
-                    continue;
-                }
-                let yj = xc.row(j);
-                let w = 2.0 * p * go;
-                let gti = gt.row_mut(i);
-                for (k, g) in gti.iter_mut().enumerate() {
-                    *g += w * (xi[k] - yj[k]);
-                }
-                let gcj = gc.row_mut(j);
-                for (k, g) in gcj.iter_mut().enumerate() {
-                    *g += w * (yj[k] - xi[k]);
-                }
+        // The GEMM form from the module docs.
+        let w = 2.0 * go;
+        let mut gt = matmul(plan, xc);
+        let mut gc = matmul_at_b(plan, xt);
+        let mut col_mass = vec![0.0; xc.rows()];
+        for i in 0..xt.rows() {
+            let p_row = plan.row(i);
+            for (s, &p) in col_mass.iter_mut().zip(p_row) {
+                *s += p;
+            }
+            let row_mass: f64 = p_row.iter().sum();
+            for (g, &x) in gt.row_mut(i).iter_mut().zip(xt.row(i)) {
+                *g = w * (row_mass * x - *g);
+            }
+        }
+        for (j, &mass) in col_mass.iter().enumerate() {
+            for (g, &y) in gc.row_mut(j).iter_mut().zip(xc.row(j)) {
+                *g = w * (mass * y - *g);
             }
         }
         vec![gt, gc]
@@ -223,5 +224,39 @@ mod tests {
             last < first * 0.2,
             "distance did not shrink: {first} -> {last}"
         );
+    }
+
+    /// Reference: the cell-by-cell envelope gradient loop that the GEMM
+    /// form replaced.
+    fn backward_by_cells(plan: &Matrix, xt: &Matrix, xc: &Matrix, go: f64) -> (Matrix, Matrix) {
+        let mut gt = Matrix::zeros(xt.rows(), xt.cols());
+        let mut gc = Matrix::zeros(xc.rows(), xc.cols());
+        for i in 0..xt.rows() {
+            for j in 0..xc.rows() {
+                let w = 2.0 * plan[(i, j)] * go;
+                for k in 0..xt.cols() {
+                    let diff = xt[(i, k)] - xc[(j, k)];
+                    gt[(i, k)] += w * diff;
+                    gc[(j, k)] -= w * diff;
+                }
+            }
+        }
+        (gt, gc)
+    }
+
+    #[test]
+    fn gemm_backward_matches_cellwise_loop() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for &(n1, n0, d, go) in &[(1, 1, 1, 1.0), (7, 4, 3, 0.5), (64, 61, 100, -2.0)] {
+            let xt = Matrix::from_fn(n1, d, |_, _| rng.gen::<f64>() * 2.0 - 1.0);
+            let xc = Matrix::from_fn(n0, d, |_, _| rng.gen::<f64>() * 2.0 - 0.5);
+            let mut op = WassersteinOp::new(SinkhornConfig::default());
+            op.forward(&[&xt, &xc]);
+            let grads = op.backward(&[&xt, &xc], &Matrix::zeros(1, 1), &Matrix::filled(1, 1, go));
+            let plan = op.plan.borrow().clone().unwrap();
+            let (gt, gc) = backward_by_cells(&plan, &xt, &xc, go);
+            let (et, ec) = (grads[0].max_abs_diff(&gt), grads[1].max_abs_diff(&gc));
+            assert!(et <= 1e-12 && ec <= 1e-12, "({n1},{n0},{d}): {et:e} {ec:e}");
+        }
     }
 }
