@@ -9,10 +9,13 @@
 //!   `predict_ite` requests into one fanned forward pass against a
 //!   pinned engine version, demuxing per-request result slices back
 //!   through private channels. Bounded submission queue
-//!   ([`BatchConfig::queue_capacity`]), row bound
-//!   ([`BatchConfig::max_batch_rows`]), and latency budget
-//!   ([`BatchConfig::max_wait`]). Batched results are **bitwise
-//!   identical** to unbatched calls against the same engine version.
+//!   ([`BatchConfig::queue_capacity`]). A request that finds the queue
+//!   otherwise empty runs at once; a batch that drains with company keeps
+//!   taking arrivals for as long as the previous pass took, within
+//!   [`BatchConfig::max_wait`]; either closes at the row bound
+//!   ([`BatchConfig::max_batch_rows`]).
+//!   Batched results are **bitwise identical** to unbatched calls
+//!   against the same engine version.
 //! * [`router`] — [`ShardRouter`]: N independently hot-swappable
 //!   [`ServingEngine`](cerl_core::serving::ServingEngine) shards keyed by a
 //!   [`ShardMap`] (`domain → replica-set`)
@@ -92,7 +95,7 @@
 //! | knob | effect |
 //! |------|--------|
 //! | [`BatchConfig::max_batch_rows`] | Upper bound on coalesced rows per forward pass. Larger amortizes more setup but grows per-batch latency and peak memory. |
-//! | [`BatchConfig::max_wait`] | The latency an isolated request pays waiting for company. Under load batches fill before the budget; idle, a lone request waits at most this long. |
+//! | [`BatchConfig::max_wait`] | Cap on how long a batch that drained with company stays open for further arrivals (within it, no longer than the previous forward pass took). A request that finds the queue otherwise empty runs at once and pays none of it. |
 //! | [`BatchConfig::queue_capacity`] | Pending requests admitted before [`ServeError::QueueFull`] sheds load. Size it to `target_p99 / typical_batch_latency × mean_batch_requests`. |
 //! | [`BatchConfig::worker_threads`] | Threads for the coalesced forward pass (0 = the machine's GEMM worker count). Results are bitwise identical for any value. |
 //!

@@ -13,12 +13,16 @@
 //!   request or fails fast with [`ServeError::QueueFull`] — load is shed
 //!   at the front door instead of growing the queue (and every queued
 //!   request's latency) without bound.
-//! * **Latency budget.** A dedicated collector thread drains the queue;
-//!   a batch closes when its coalesced rows reach
-//!   [`BatchConfig::max_batch_rows`] or when
-//!   [`BatchConfig::max_wait`] has elapsed since the batch opened —
-//!   whichever comes first. An idle scheduler serves a lone request
-//!   after at most `max_wait`.
+//! * **Batch closing.** A dedicated collector thread opens a batch on
+//!   the first queued request and drains what is already queued. A
+//!   request that drains the queue alone runs at once: an idle
+//!   scheduler never holds a lone request. A batch that drains with
+//!   company (the scheduler is under concurrent load) keeps taking
+//!   arrivals for as long as the previous forward pass took, and never
+//!   past [`BatchConfig::max_wait`] after it opened: at light load the
+//!   passes, and so the waits, are short; at saturation batches keep
+//!   their size. Either closes early once its coalesced rows reach
+//!   [`BatchConfig::max_batch_rows`].
 //! * **Per-request demux.** The batch runs against one pinned engine
 //!   version; result rows are sliced back out and delivered through each
 //!   request's private channel together with the version that served it.
@@ -47,7 +51,7 @@ use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
@@ -62,9 +66,11 @@ pub struct BatchConfig {
     ///
     /// [`PARALLEL_CHUNK_ROWS`]: cerl_core::serving::PARALLEL_CHUNK_ROWS
     pub max_batch_rows: usize,
-    /// Close a batch this long after it opened even if under-full
-    /// (default 2 ms). This is the extra latency an isolated request pays
-    /// for batching; under load batches fill long before the budget.
+    /// Cap on how long a batch that already has company stays open for
+    /// further arrivals, counted from when it opened (default 2 ms);
+    /// within it, the batch waits no longer than the previous forward
+    /// pass took. A request that finds the queue otherwise empty runs
+    /// at once and pays none of it.
     pub max_wait: Duration,
     /// Bounded submission queue capacity in pending requests (default
     /// 1024). Submissions beyond it fail with [`ServeError::QueueFull`].
@@ -646,7 +652,9 @@ impl BatchScheduler {
     }
 
     /// Predicted ITEs for one request, served through the batch path
-    /// (blocks for at most queue wait + `max_wait` + one forward pass).
+    /// (blocks while the batches ahead of it run, then for its own
+    /// batch: at most `max_wait` plus its forward pass, and no wait at
+    /// all when it reaches an idle scheduler alone).
     pub fn predict_ite(&self, x: &Matrix) -> Result<Vec<f64>, ServeError> {
         Ok(self.predict_ite_versioned(x)?.1)
     }
@@ -710,23 +718,28 @@ impl Drop for BatchScheduler {
     }
 }
 
-/// Collector thread body: open a batch on the first queued request,
-/// top it up until `max_batch_rows` or the `max_wait` budget, execute,
-/// demux, repeat. Exits when every [`BatchScheduler`] queue handle is
-/// gone.
+/// Collector thread body: open a batch on the first queued request and
+/// top it up with what is already queued. Alone, it runs at once; with
+/// company, it keeps taking arrivals for as long as the last pass took,
+/// within `max_wait` of opening. Either way it closes at
+/// `max_batch_rows`. Then execute, demux, repeat. Exits when every
+/// [`BatchScheduler`] queue handle is gone.
 fn collector_loop(
     engine: &ServingEngine,
     rx: &Receiver<PendingRequest>,
     cfg: &BatchConfig,
     metrics: &ServeMetrics,
 ) {
+    let mut last_pass = Duration::ZERO;
     loop {
         // Block for the batch-opening request.
         let first = match rx.recv() {
             Ok(first) => first,
             Err(_) => return,
         };
-        let deadline = Instant::now() + cfg.max_wait;
+        let opened = Instant::now();
+        let deadline = opened + cfg.max_wait;
+        let wait_until = opened + cfg.max_wait.min(last_pass);
         let mut batch = vec![first];
         let mut rows = batch[0].x.rows(); // panic-ok: batch was just built with one element
         while rows < cfg.max_batch_rows {
@@ -734,18 +747,30 @@ fn collector_loop(
             if now >= deadline {
                 break;
             }
-            match rx.recv_timeout(deadline - now) {
-                Ok(next) => {
-                    rows += next.x.rows();
-                    batch.push(next);
+            let next = match rx.try_recv() {
+                Ok(next) => next,
+                // Drained with company: the scheduler is under concurrent
+                // load, so the batch keeps taking arrivals for as long as
+                // the last pass took, within max_wait.
+                Err(TryRecvError::Empty) if batch.len() > 1 && now < wait_until => {
+                    match rx.recv_timeout(wait_until - now) {
+                        Ok(next) => next,
+                        Err(_) => break,
+                    }
                 }
-                Err(RecvTimeoutError::Timeout) => break,
+                // Drained alone (a lone request runs at once), or the
+                // wait is over.
+                Err(TryRecvError::Empty) => break,
                 // Scheduler dropped mid-drain: serve what we have (the
                 // next outer recv() will observe the disconnect and exit).
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+                Err(TryRecvError::Disconnected) => break,
+            };
+            rows += next.x.rows();
+            batch.push(next);
         }
+        let pass = Instant::now();
         serve_batch(engine, &batch, cfg, metrics);
+        last_pass = pass.elapsed();
     }
 }
 
@@ -951,24 +976,136 @@ mod tests {
     }
 
     #[test]
-    fn lone_request_is_served_within_the_latency_budget() {
+    fn lone_request_is_not_held_for_max_wait() {
         let stream = quick_stream(1);
         let serving = trained_serving(&stream, 1);
         let scheduler = BatchScheduler::new(
             Arc::clone(&serving),
             BatchConfig {
-                max_batch_rows: 1_000_000, // never close on rows
-                max_wait: Duration::from_millis(5),
+                max_batch_rows: usize::MAX, // never close on rows
+                max_wait: Duration::from_secs(60),
                 ..BatchConfig::default()
             },
         );
         let x = stream.domain(0).test.x.slice_rows(0, 3);
         let t0 = Instant::now();
         let ite = scheduler.predict_ite(&x).unwrap();
-        // Generous bound: budget + one small forward pass + scheduling
-        // noise on a loaded 1-CPU container.
-        assert!(t0.elapsed() < Duration::from_secs(5));
+        // The queue is drained after the lone request, so its batch runs
+        // at once: the bound is one small forward pass plus scheduling
+        // noise on a loaded 1-CPU runner, far below the 60 s cap.
+        assert!(t0.elapsed() < Duration::from_secs(10));
         assert_eq!(ite, serving.predict_ite(&x).unwrap());
+    }
+
+    /// Park the collector inside one large forward pass (it records the
+    /// batch before running it), so whatever is submitted next is
+    /// queued in full before the collector can drain it.
+    fn park_collector(scheduler: &BatchScheduler, base: &Matrix) -> ResponseHandle {
+        let idx: Vec<usize> = (0..30_000).map(|i| i % base.rows()).collect();
+        let big = scheduler.submit(base.select_rows(&idx)).unwrap();
+        while scheduler.stats().batches == 0 {
+            std::thread::yield_now();
+        }
+        big
+    }
+
+    #[test]
+    fn requests_queued_during_a_pass_run_as_one_batch() {
+        let stream = quick_stream(1);
+        let serving = trained_serving(&stream, 1);
+        let scheduler = BatchScheduler::new(
+            Arc::clone(&serving),
+            BatchConfig {
+                max_wait: Duration::from_millis(50),
+                ..BatchConfig::default()
+            },
+        );
+        let x = &stream.domain(0).test.x;
+        let big = park_collector(&scheduler, x);
+        let slices: Vec<Matrix> = (0..8).map(|i| x.slice_rows(i * 2, i * 2 + 2)).collect();
+        let handles: Vec<ResponseHandle> = slices
+            .iter()
+            .map(|s| scheduler.submit(s.clone()).unwrap())
+            .collect();
+        assert!(big.wait().is_ok());
+        for (slice, handle) in slices.iter().zip(handles) {
+            let (version, batched) = handle.wait().unwrap();
+            assert_eq!(version, 1);
+            let reference = serving.predict_ite(slice).unwrap();
+            assert_eq!(batched.len(), reference.len());
+            for (a, b) in batched.iter().zip(&reference) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        // The backlog the pass left behind was queued in full before the
+        // drain, so it is one batch.
+        let stats = scheduler.stats();
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.max_batch_requests, 8);
+        assert_eq!(stats.batched_rows, 30_000 + 16);
+    }
+
+    #[test]
+    fn a_batch_with_company_keeps_taking_arrivals() {
+        let stream = quick_stream(1);
+        let serving = trained_serving(&stream, 1);
+        let scheduler = BatchScheduler::new(
+            Arc::clone(&serving),
+            BatchConfig {
+                max_batch_rows: 6,
+                max_wait: Duration::from_secs(60),
+                worker_threads: 1, // a longer pass, so a wider wait
+                ..BatchConfig::default()
+            },
+        );
+        let x = &stream.domain(0).test.x;
+        let t0 = Instant::now();
+        let big = park_collector(&scheduler, x);
+        let mut handles: Vec<ResponseHandle> = (0..2)
+            .map(|i| scheduler.submit(x.slice_rows(i * 2, i * 2 + 2)).unwrap())
+            .collect();
+        assert!(big.wait().is_ok());
+        // The two queued requests open a batch with company as the big
+        // pass ends, and it waits for arrivals about as long as that pass
+        // took. Submitted an eighth of that later, this one joins it and
+        // its 2 rows reach the bound.
+        std::thread::sleep(t0.elapsed() / 8);
+        handles.push(scheduler.submit(x.slice_rows(4, 6)).unwrap());
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().1.len(), 2);
+        }
+        let stats = scheduler.stats();
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.max_batch_requests, 3);
+        assert_eq!(stats.batched_rows, 30_000 + 6);
+    }
+
+    #[test]
+    fn row_bound_splits_a_drained_backlog() {
+        let stream = quick_stream(1);
+        let serving = trained_serving(&stream, 1);
+        let scheduler = BatchScheduler::new(
+            Arc::clone(&serving),
+            BatchConfig {
+                max_batch_rows: 8,
+                max_wait: Duration::from_secs(60),
+                ..BatchConfig::default()
+            },
+        );
+        let x = &stream.domain(0).test.x;
+        let big = park_collector(&scheduler, x);
+        let handles: Vec<ResponseHandle> = (0..3)
+            .map(|i| scheduler.submit(x.slice_rows(i * 4, i * 4 + 4)).unwrap())
+            .collect();
+        assert!(big.wait().is_ok());
+        for handle in handles {
+            assert_eq!(handle.wait().unwrap().1.len(), 4);
+        }
+        // 4 + 4 rows reach the bound; the third request runs on its own.
+        let stats = scheduler.stats();
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.batched_rows, 30_000 + 8 + 4);
+        assert_eq!(stats.max_batch_requests, 2);
     }
 
     #[test]
@@ -1041,15 +1178,7 @@ mod tests {
                 ..BatchConfig::default()
             },
         );
-        let base = &stream.domain(0).test.x;
-        let idx: Vec<usize> = (0..30_000).map(|i| i % base.rows()).collect();
-        let big = scheduler.submit(base.select_rows(&idx)).unwrap();
-        // Wait for the collector to start executing the big batch
-        // (record_batch precedes the forward pass), then the window in
-        // which it cannot drain the queue is open for the whole pass.
-        while scheduler.stats().batches == 0 {
-            std::thread::yield_now();
-        }
+        let big = park_collector(&scheduler, &stream.domain(0).test.x);
         let small = stream.domain(0).test.x.slice_rows(0, 2);
         let parked = scheduler.submit(small.clone()).unwrap();
         let rejected = scheduler.submit(small.clone());

@@ -153,7 +153,9 @@
 //! The [`serve`] layer turns the engine into a service
 //! front-end. A [`BatchScheduler`](prelude::BatchScheduler) coalesces
 //! many small concurrent requests into one fanned forward pass — with a
-//! bounded submission queue, a `max_wait` latency budget, and results
+//! bounded submission queue, a lone request that runs at once, batches
+//! under load that stay open about one forward pass (at most `max_wait`,
+//! or until `max_batch_rows`), and results
 //! bitwise identical to unbatched calls — and a
 //! [`ShardRouter`](prelude::ShardRouter) keys N independently
 //! hot-swappable engines by the

@@ -446,11 +446,22 @@ fn deadline_floods_are_shed_not_served_late() {
     let small = base.slice_rows(0, 4);
     let small_ref = serving.predict_ite(&small).unwrap();
 
+    /// Releases the polite client when the flood half finishes or
+    /// panics, so a failed assertion fails the test instead of hanging
+    /// it.
+    struct StopOnDrop(Arc<AtomicBool>);
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
     std::thread::scope(|scope| {
         // A polite client keeps round-tripping on its own connection
         // throughout the flood; it must never see an error.
         let done = Arc::new(AtomicBool::new(false));
         let polite_done = Arc::clone(&done);
+        let _stop_polite = StopOnDrop(done);
         let small_ref = &small_ref;
         let small_c = &small;
         scope.spawn(move || {
@@ -465,22 +476,29 @@ fn deadline_floods_are_shed_not_served_late() {
             }
         });
 
+        // The slow request and the flood go out in one write, so the
+        // flood is decoded while the slow request's forward pass runs:
+        // an idle batch collector runs a request at once, so a flood
+        // that arrived after that pass ended would be admitted in time.
         let mut flood = connect_retry(addr);
-        let big_id = flood
-            .send_request(&vec![0; big.rows()], &big, None)
-            .unwrap();
-        let mut flood_ids = Vec::with_capacity(FLOOD);
-        for _ in 0..FLOOD {
-            flood_ids.push(
-                flood
-                    .send_request(
-                        &vec![0; small.rows()],
-                        &small,
-                        Some(Duration::from_millis(1)),
-                    )
-                    .unwrap(),
+        let big_id = 1;
+        let flood_ids: Vec<u64> = (2..=FLOOD as u64 + 1).collect();
+        let mut frames = Vec::new();
+        for (request_id, x, deadline_ms) in
+            std::iter::once((big_id, &big, 0)).chain(flood_ids.iter().map(|&id| (id, &small, 1)))
+        {
+            wire::encode_request(
+                &WireRequest {
+                    request_id,
+                    deadline_ms,
+                    cols: x.cols() as u32,
+                    tags: vec![0; x.rows()],
+                    covariates: x.as_slice().to_vec(),
+                },
+                &mut frames,
             );
         }
+        flood.send_raw(&frames).unwrap();
 
         let mut ok = 0usize;
         let mut shed = 0usize;
@@ -524,7 +542,6 @@ fn deadline_floods_are_shed_not_served_late() {
             shed > 0,
             "a 1 ms deadline behind an 8192-row request must shed"
         );
-        done.store(true, Ordering::SeqCst);
     });
 
     let snap = server.stats();
