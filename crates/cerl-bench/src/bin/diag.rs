@@ -7,1029 +7,63 @@
 //!   lower for the benchmark to discriminate strategies);
 //! * factual RMSE vs the outcome noise floor;
 //! * cross-domain degradation: same model evaluated on a shifted domain.
+//!
+//! `--supervised` (with `--probe-linear`) and `--sweep` run the other
+//! calibration probes instead; the remaining flags in `FLAGS` tweak the
+//! model or data config. Any other flag exits 2.
 
 use cerl_bench::scale::{model_config, synthetic_config, RunArgs};
-use cerl_bench::trajectory::{self, BandConfig, ProbeRecord, TrajectoryReport};
 use cerl_core::metrics::EffectMetrics;
 use cerl_core::CfrModel;
 use cerl_data::{DomainStream, SyntheticGenerator};
 use cerl_math::stats::{mean, std_dev};
 
-/// Serving-path diagnostics: engine snapshot round-trip (size, save/load
-/// latency, bitwise-identical predictions) and chunked-inference
-/// throughput at request sizes a service would see.
-fn serving_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> ProbeRecord {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_serve::LatencyHistogram;
-    use std::time::Instant;
+/// Flags diag reads beyond the common ones [`RunArgs`] parses. `--units`
+/// takes a value.
+const FLAGS: [&str; 12] = [
+    "--no-cosine",
+    "--alpha0",
+    "--lambda0",
+    "--relu",
+    "--wide",
+    "--long",
+    "--lr-low",
+    "--units",
+    "--noise0",
+    "--supervised",
+    "--probe-linear",
+    "--sweep",
+];
 
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    for d in 0..stream.len() {
-        engine
-            .observe(&stream.domain(d).train, &stream.domain(d).val)
-            .expect("diag: synthetic domains are well-formed");
-    }
-
-    let t0 = Instant::now();
-    let bytes = engine.save_bytes().expect("trained engine saves");
-    let save = t0.elapsed();
-    let t0 = Instant::now();
-    let restored = cerl_core::engine::CerlEngine::load_bytes(&bytes).expect("own bytes load");
-    let load = t0.elapsed();
-    let x = &stream.domain(0).test.x;
-    let identical = restored.predict_ite(x).expect("restored predicts")
-        == engine.predict_ite(x).expect("engine predicts");
-    println!(
-        "snapshot: {} bytes, save {:.1} ms, load {:.1} ms, bitwise-identical predictions: {identical}",
-        bytes.len(),
-        save.as_secs_f64() * 1e3,
-        load.as_secs_f64() * 1e3,
-    );
-
-    let mut best_rows_per_sec = 0.0f64;
-    let hist = LatencyHistogram::new();
-    for chunk_rows in [64usize, 512, 4096] {
-        let t0 = Instant::now();
-        let reps = 20;
-        for _ in 0..reps {
-            let t_req = Instant::now();
-            engine
-                .predict_ite_chunked(x, chunk_rows)
-                .expect("chunked predict");
-            if chunk_rows == 512 {
-                hist.record(t_req.elapsed());
-            }
+/// Exit 2 naming the first flag diag does not know, so a stale
+/// invocation fails instead of silently running the calibration.
+fn reject_unknown_flags(args: &RunArgs) {
+    let mut extra = args.extra.iter();
+    while let Some(flag) = extra.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            eprintln!("diag: unknown flag {flag}");
+            std::process::exit(2);
         }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let per_row = elapsed / (reps * x.rows()) as f64;
-        best_rows_per_sec = best_rows_per_sec.max((reps * x.rows()) as f64 / elapsed);
-        println!(
-            "chunked inference ({chunk_rows:>4}-row chunks): {:.2} µs/unit",
-            per_row * 1e6
-        );
-    }
-    let mut record = ProbeRecord::new("serving", best_rows_per_sec, hist.snapshot());
-    record.passed = identical;
-    record.detail = format!(
-        "snapshot {} bytes; bitwise-identical restore: {identical}",
-        bytes.len()
-    );
-    record
-}
-
-/// Concurrent-serving throughput probe: rows/sec of a 10k-row ITE request
-/// served by [`cerl_core::ServingEngine::predict_ite_parallel`] at 1/2/4/8
-/// reader threads, plus a hot-swap-under-load sanity pass.
-fn concurrent_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> bool {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_core::ServingEngine;
-    use std::time::Instant;
-
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    engine
-        .observe(&stream.domain(0).train, &stream.domain(0).val)
-        .expect("diag: synthetic domains are well-formed");
-    let serving = ServingEngine::new(engine);
-
-    // 10k-row request matrix: tile the test split's rows.
-    let base = &stream.domain(0).test.x;
-    let rows = 10_000;
-    let idx: Vec<usize> = (0..rows).map(|i| i % base.rows()).collect();
-    let request = base.select_rows(&idx);
-
-    // BENCH note: `available_parallelism` is a syscall; the GEMM kernels
-    // (and this probe) read it through a process-wide OnceLock so the
-    // hottest path never re-queries it per multiply.
-    println!(
-        "machine: {} matmul worker thread(s) (available_parallelism, cached in OnceLock)",
-        cerl_math::matmul::worker_threads()
-    );
-
-    let reps = 5;
-    let mut baseline = 0.0_f64;
-    for threads in [1usize, 2, 4, 8] {
-        // Warm-up keeps allocator and cache effects out of the timing.
-        let expect = serving
-            .predict_ite_parallel(&request, threads)
-            .expect("well-formed request");
-        assert_eq!(expect.len(), rows);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            serving
-                .predict_ite_parallel(&request, threads)
-                .expect("well-formed request");
-        }
-        let rows_per_sec = (reps * rows) as f64 / t0.elapsed().as_secs_f64();
-        if threads == 1 {
-            baseline = rows_per_sec;
-        }
-        println!(
-            "predict_ite_parallel: {threads} reader thread(s): {:>10.0} rows/sec (x{:.2} vs 1 thread)",
-            rows_per_sec,
-            rows_per_sec / baseline.max(1.0)
-        );
-    }
-
-    // Hot-swap under load: readers hammer the 10k-row request while a new
-    // domain is observed and swapped in; zero reader errors expected.
-    let mut swap_ok = false;
-    let serving = std::sync::Arc::new(serving);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let reader_errors = std::sync::atomic::AtomicUsize::new(0);
-    let served = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    match serving.predict_ite(&request) {
-                        Ok(_) => {
-                            served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            reader_errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-        let swap = serving
-            .observe_and_swap(&stream.domain(1).train, &stream.domain(1).val)
-            .map(|(_, v)| v);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        match swap {
-            Ok(v) => {
-                swap_ok = true;
-                println!("hot swap under load: published version {v}");
-            }
-            Err(e) => println!("hot swap under load FAILED: {e}"),
-        }
-    });
-    let stats = serving.stats();
-    let error_count = reader_errors.load(std::sync::atomic::Ordering::Relaxed);
-    println!(
-        "under swap: {} requests answered, {error_count} reader errors (want 0); totals: {} served / {} rows / {} swaps / {} rejected",
-        served.load(std::sync::atomic::Ordering::Relaxed),
-        stats.requests_served,
-        stats.rows_predicted,
-        stats.swaps,
-        stats.rejected_requests,
-    );
-    swap_ok && error_count == 0
-}
-
-/// Micro-batching throughput probe: 64 concurrent clients each issuing
-/// 4-row ITE requests, served unbatched (straight at the
-/// [`cerl_core::ServingEngine`]) vs through a
-/// [`cerl_serve::BatchScheduler`] that coalesces them into one forward
-/// pass — rows/sec and p95 end-to-end latency for both paths.
-fn batched_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> ProbeRecord {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_core::ServingEngine;
-    use cerl_serve::{BatchConfig, BatchScheduler, LatencyHistogram};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    engine
-        .observe(&stream.domain(0).train, &stream.domain(0).val)
-        .expect("diag: synthetic domains are well-formed");
-    let serving = Arc::new(ServingEngine::new(engine));
-
-    let clients = 64usize;
-    let request_rows = 4usize;
-    let rounds = 60usize;
-    let base = &stream.domain(0).test.x;
-    let requests: Vec<cerl_math::Matrix> = (0..clients)
-        .map(|c| {
-            let idx: Vec<usize> = (0..request_rows)
-                .map(|r| (c * request_rows + r) % base.rows())
-                .collect();
-            base.select_rows(&idx)
-        })
-        .collect();
-
-    println!(
-        "batched-vs-unbatched: {clients} concurrent clients x {request_rows}-row requests x {rounds} rounds"
-    );
-
-    // Each client round-trips its own request `rounds` times; the
-    // histogram sees every per-request end-to-end latency.
-    let run = |label: &str,
-               predict: &(dyn Fn(&cerl_math::Matrix) -> Vec<f64> + Sync)|
-     -> (f64, cerl_serve::LatencySnapshot) {
-        // Warm-up wave outside the timing: thread pools, allocator, and
-        // (for the batched path) the collector are all hot before t0.
-        std::thread::scope(|scope| {
-            for request in &requests {
-                scope.spawn(|| {
-                    predict(request);
-                });
-            }
-        });
-        let hist = LatencyHistogram::new();
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for request in &requests {
-                scope.spawn(|| {
-                    for _ in 0..rounds {
-                        let t_req = Instant::now();
-                        let ite = predict(request);
-                        hist.record(t_req.elapsed());
-                        assert_eq!(ite.len(), request_rows);
-                    }
-                });
-            }
-        });
-        let rows_per_sec = (clients * rounds * request_rows) as f64 / t0.elapsed().as_secs_f64();
-        let s = hist.snapshot();
-        println!(
-            "  {label:<9}: {rows_per_sec:>10.0} rows/sec | request latency p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms",
-            s.p50.as_secs_f64() * 1e3,
-            s.p95.as_secs_f64() * 1e3,
-            s.p99.as_secs_f64() * 1e3,
-        );
-        (rows_per_sec, s)
-    };
-
-    let (unbatched, _) = run("unbatched", &|x| {
-        serving.predict_ite(x).expect("well-formed request")
-    });
-
-    // Tune the row bound to the workload's natural batch (64 clients x 4
-    // rows): the batch closes the moment the whole wave has coalesced
-    // instead of idling out the max_wait budget waiting for rows that
-    // are not coming. max_wait only pays when a round has stragglers.
-    let scheduler = BatchScheduler::new(
-        Arc::clone(&serving),
-        BatchConfig {
-            max_batch_rows: clients * request_rows,
-            max_wait: std::time::Duration::from_micros(300),
-            ..BatchConfig::default()
-        },
-    );
-    let (batched, batched_latency) = run("batched", &|x| {
-        scheduler.predict_ite(x).expect("well-formed request")
-    });
-    // The batching contract: a coalesced request's slice is bitwise what
-    // the unbatched path answers against the same engine version.
-    let bitwise_ok = requests.iter().all(|request| {
-        let via_batch = scheduler.predict_ite(request).expect("well-formed request");
-        let direct = serving.predict_ite(request).expect("well-formed request");
-        via_batch
-            .iter()
-            .zip(&direct)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-    });
-    println!("  batched results bitwise-identical to unbatched: {bitwise_ok}");
-    let stats = scheduler.stats();
-    println!(
-        "  coalescing: {} requests in {} batches (mean {:.1} requests = {:.0} rows per forward pass, max {} requests) | queue wait p95 {:.2} ms",
-        stats.requests,
-        stats.batches,
-        stats.mean_requests_per_batch(),
-        stats.mean_rows_per_batch(),
-        stats.max_batch_requests,
-        stats.queue_wait.p95.as_secs_f64() * 1e3,
-    );
-    println!(
-        "  batched/unbatched throughput: x{:.2}",
-        batched / unbatched.max(1.0)
-    );
-    println!(
-        "NOTE: this container has 1 CPU: the gain here is purely amortized per-request \
-overhead (one standardizer pass + GEMM setup per batch instead of per request); \
-multi-core hardware adds the parallel reader fan-out of `--concurrent` on top."
-    );
-    let mut record = ProbeRecord::new("batched", batched, batched_latency);
-    record.passed = bitwise_ok;
-    record.detail = format!(
-        "{clients} clients x {request_rows} rows; batched/unbatched x{:.2}; mean {:.1} requests/batch; bitwise: {bitwise_ok}",
-        batched / unbatched.max(1.0),
-        stats.mean_requests_per_batch(),
-    );
-    record
-}
-
-/// Cross-shard scatter-gather probe: a 3-shard fleet (clones of one
-/// engine, so the single-engine reference is exact) serves mixed-domain
-/// requests; verifies the merged output is bitwise identical to the
-/// unsharded engine, compares throughput, then moves a domain between
-/// shards (begin → commit) under live scatter load.
-fn scatter_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> ProbeRecord {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_core::{ServingEngine, ShardMap};
-    use cerl_serve::{LatencyHistogram, ShardRouter};
-    use std::time::Instant;
-
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    engine
-        .observe(&stream.domain(0).train, &stream.domain(0).val)
-        .expect("diag: synthetic domains are well-formed");
-
-    // Six domains spread over three shards; every shard a clone of the
-    // same engine so the unsharded reference is bitwise exact.
-    let shards = 3usize;
-    let domains = 6u64;
-    let pairs: Vec<(u64, usize)> = (0..domains).map(|d| (d, d as usize % shards)).collect();
-    let map = ShardMap::from_pairs(shards, &pairs).expect("pairs are in range");
-    let router = ShardRouter::new((0..shards).map(|_| engine.clone()).collect(), map)
-        .expect("fleet sizes agree");
-
-    // Mixed request: 3k rows tiled from the test split, round-robin tags.
-    let base = &stream.domain(0).test.x;
-    let rows = 3_000usize;
-    let idx: Vec<usize> = (0..rows).map(|i| i % base.rows()).collect();
-    let request = base.select_rows(&idx);
-    let tags: Vec<u64> = (0..rows).map(|i| i as u64 % domains).collect();
-
-    let reference = engine.predict_ite(&request).expect("well-formed request");
-    let scattered = router
-        .predict_ite_scatter(&tags, &request)
-        .expect("every tag is mapped");
-    let identical = reference
-        .iter()
-        .zip(&scattered)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    println!(
-        "scatter-gather: {rows} rows over {domains} domains / {shards} shards, bitwise-identical to unsharded engine: {identical}"
-    );
-
-    let reps = 5;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        engine.predict_ite(&request).expect("well-formed request");
-    }
-    let unsharded = (reps * rows) as f64 / t0.elapsed().as_secs_f64();
-    let hist = LatencyHistogram::new();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let t_req = Instant::now();
-        router
-            .predict_ite_scatter(&tags, &request)
-            .expect("every tag is mapped");
-        hist.record(t_req.elapsed());
-    }
-    let sharded = (reps * rows) as f64 / t0.elapsed().as_secs_f64();
-    let stats = router.stats();
-    println!(
-        "throughput: unsharded {unsharded:>9.0} rows/sec | scatter {sharded:>9.0} rows/sec (x{:.2}) | mean fan-out {:.1} shards/request",
-        sharded / unsharded.max(1.0),
-        stats.mean_shards_per_scatter(),
-    );
-    println!(
-        "NOTE: on this 1-CPU container the scatter path measures demux/merge overhead only; \
-multi-core hardware runs the per-shard sub-batches concurrently."
-    );
-
-    // Rebalance under live scatter load: move domain 1 from shard 1 to
-    // shard 2 with clients hammering mixed requests throughout.
-    let mut commit_ok = false;
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let errors = std::sync::atomic::AtomicUsize::new(0);
-    let served = std::sync::atomic::AtomicUsize::new(0);
-    let small_tags: Vec<u64> = (0..64).map(|i| i as u64 % domains).collect();
-    let small = base.select_rows(&(0..64).map(|i| i % base.rows()).collect::<Vec<_>>());
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    match router.predict_ite_scatter(&small_tags, &small) {
-                        Ok(_) => {
-                            served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-        let staged = router.begin_rebalance(1, 2, engine.clone());
-        assert!(staged.is_ok(), "staging a trained successor: {staged:?}");
-        // Dual-route window: pin source and destination coherently.
-        let (src, dst) = ServingEngine::pin_pair(
-            router.shard(1).expect("shard 1 exists"),
-            router.shard(2).expect("shard 2 exists"),
-        );
-        println!(
-            "dual-route window open: domain 1 still on shard 1 (v{}), destination shard 2 at v{}",
-            src.version(),
-            dst.version()
-        );
-        let commit = router.commit_rebalance();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        match commit {
-            Ok(v) => {
-                commit_ok = true;
-                println!(
-                    "rebalance committed under load: domain 1 now on shard {}, destination at v{v}",
-                    router.route(1).expect("domain 1 is mapped"),
-                );
-            }
-            Err(e) => println!("rebalance FAILED: {e}"),
-        }
-    });
-    let error_count = errors.load(std::sync::atomic::Ordering::Relaxed);
-    println!(
-        "under rebalance: {} scatter requests answered, {error_count} errors (want 0); shard versions {:?}",
-        served.load(std::sync::atomic::Ordering::Relaxed),
-        router.shard_versions(),
-    );
-    let mut record = ProbeRecord::new("scatter", sharded, hist.snapshot());
-    record.passed = identical && commit_ok && error_count == 0;
-    record.detail = format!(
-        "{rows} rows over {domains} domains / {shards} shards; bitwise: {identical}; \
-         rebalance-under-load errors: {error_count}"
-    );
-    record
-}
-
-/// Replica-era probe: the hot domain of a skewed workload is
-/// read-scaled across all three shards, every route policy is
-/// bitwise-checked against the unsharded reference, per-replica
-/// rows/sec shows the policy spreading the hot rows, and a
-/// drain→remove→add replica lifecycle runs under live scatter load
-/// with an error counter as the gate.
-fn replicas_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> ProbeRecord {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_core::ShardMap;
-    use cerl_serve::{
-        LatencyHistogram, LeastLoaded, RoundRobin, RoutePolicy, ShardRouter, VersionPinned,
-    };
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    for d in 0..stream.len() {
-        engine
-            .observe(&stream.domain(d).train, &stream.domain(d).val)
-            .expect("diag: synthetic domains are well-formed");
-    }
-
-    // Hot domain 0 on every shard, cold domain 1 at home on shard 1;
-    // every shard a clone of the same engine — exactly the replica
-    // contract (a replica restores another replica's snapshot), so
-    // whichever replica a policy picks, the unsharded reference is
-    // bitwise exact.
-    let shards = 3usize;
-    let map = ShardMap::from_replicas(shards, &[(0, vec![0, 1, 2]), (1, vec![1])])
-        .expect("replica sets are in range");
-    let router = ShardRouter::new((0..shards).map(|_| engine.clone()).collect(), map)
-        .expect("fleet sizes agree");
-
-    // Skewed request: 3k rows, three quarters tagged with the hot domain.
-    let base = &stream.domain(0).test.x;
-    let rows = 3_000usize;
-    let idx: Vec<usize> = (0..rows).map(|i| i % base.rows()).collect();
-    let request = base.select_rows(&idx);
-    let tags: Vec<u64> = (0..rows).map(|i| u64::from(i % 4 == 3)).collect();
-    let reference = engine.predict_ite(&request).expect("well-formed request");
-
-    // Placement is the only thing a policy may change: all three must
-    // reproduce the reference bit for bit on the replicated topology.
-    let policies: Vec<(&str, Arc<dyn RoutePolicy>)> = vec![
-        ("least-loaded", Arc::new(LeastLoaded)),
-        ("round-robin", Arc::new(RoundRobin::new())),
-        ("version-pinned", Arc::new(VersionPinned::new(1))),
-    ];
-    let mut all_identical = true;
-    for (name, policy) in &policies {
-        router.set_route_policy(Arc::clone(policy));
-        let scattered = router
-            .predict_ite_scatter(&tags, &request)
-            .expect("every tag is mapped");
-        let identical = reference
-            .iter()
-            .zip(&scattered)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        all_identical &= identical;
-        println!("replicas [{name:>14}]: bitwise-identical to unsharded engine: {identical}");
-    }
-
-    // Throughput and per-replica attribution: round-robin rotates the
-    // hot sub-batch across the replica-set, so the skewed load shows up
-    // as near-even per-shard rows/sec instead of one scorching shard.
-    router.set_route_policy(Arc::new(RoundRobin::new()));
-    let before = router.shard_loads();
-    let hist = LatencyHistogram::new();
-    let reps = 5;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let t_req = Instant::now();
-        router
-            .predict_ite_scatter(&tags, &request)
-            .expect("every tag is mapped");
-        hist.record(t_req.elapsed());
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let throughput = (reps * rows) as f64 / elapsed;
-    for (b, a) in before.iter().zip(router.shard_loads()) {
-        println!(
-            "replica shard {}: {:>9.0} rows/sec over the timed window",
-            a.shard,
-            (a.rows - b.rows) as f64 / elapsed,
-        );
-    }
-    println!(
-        "throughput: replicated scatter {throughput:>9.0} rows/sec | mean fan-out {:.1} shards/request",
-        router.stats().mean_shards_per_scatter(),
-    );
-    println!(
-        "NOTE: on this 1-CPU container replication measures demux/merge overhead only; \
-multi-core hardware runs the per-replica sub-batches concurrently."
-    );
-
-    // Replica lifecycle under live load: scale the hot domain in
-    // (drain + remove shard 2) and back out (staged add, one-flip
-    // commit) with clients hammering skewed requests throughout.
-    let mut commit_ok = false;
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let errors = std::sync::atomic::AtomicUsize::new(0);
-    let served = std::sync::atomic::AtomicUsize::new(0);
-    let small_tags: Vec<u64> = (0..64).map(|i| u64::from(i % 4 == 3)).collect();
-    let small = base.select_rows(&(0..64).map(|i| i % base.rows()).collect::<Vec<_>>());
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            scope.spawn(|| {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    match router.predict_ite_scatter(&small_tags, &small) {
-                        Ok(_) => {
-                            served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-        // On one CPU the clients only run while this thread yields;
-        // settle real traffic around each verb so the lifecycle truly
-        // happens under load.
-        let settle = |floor: usize| {
-            while served.load(std::sync::atomic::Ordering::Relaxed) < floor {
-                std::thread::yield_now();
-            }
-        };
-        settle(2);
-        let drained = router.drain_replica(0, 2);
-        assert!(drained.is_ok(), "drain a redundant replica: {drained:?}");
-        let removed = router.remove_replica(0, 2);
-        assert!(removed.is_ok(), "finalize the drain: {removed:?}");
-        settle(4);
-        let staged = router.begin_add_replica(0, 2, engine.clone());
-        assert!(staged.is_ok(), "stage a trained replica: {staged:?}");
-        match router.commit_rebalance() {
-            Ok(v) => {
-                commit_ok = true;
-                println!("replica re-added under load: shard 2 republished at v{v}");
-            }
-            Err(e) => println!("replica add FAILED: {e}"),
-        }
-        settle(6);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    });
-    let error_count = errors.load(std::sync::atomic::Ordering::Relaxed);
-    println!(
-        "under replica lifecycle: {} scatter requests answered, {error_count} errors (want 0); \
-domain 0 replica-set: {}",
-        served.load(std::sync::atomic::Ordering::Relaxed),
-        router.replicas(0).expect("domain 0 is mapped"),
-    );
-    let mut record = ProbeRecord::new("replicas", throughput, hist.snapshot());
-    record.passed = all_identical && commit_ok && error_count == 0;
-    record.detail = format!(
-        "{rows} skewed rows (3:1 hot domain 0) over {shards} replicas; bitwise under every \
-         policy: {all_identical}; lifecycle-under-load errors: {error_count}"
-    );
-    record
-}
-
-/// Network front-end probe: a loopback [`cerl_net::NetServer`] reactor
-/// fronting a [`cerl_serve::BatchScheduler`], driven by 64 concurrent
-/// client connections (8 driver threads x 8 sockets) round-tripping
-/// small ITE requests over the wire protocol. Measures end-to-end
-/// rows/sec and per-request p50/p95/p99 (socket, frame codec, epoll,
-/// batching, and inference together) and bitwise-checks every response
-/// against the in-process engine; any serve fault or payload mismatch
-/// fails the probe.
-fn net_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> ProbeRecord {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_core::ServingEngine;
-    use cerl_net::{NetBackend, NetClient, NetServer, NetServerConfig};
-    use cerl_obs::TraceRing;
-    use cerl_serve::{BatchConfig, BatchScheduler, LatencyHistogram};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    engine
-        .observe(&stream.domain(0).train, &stream.domain(0).val)
-        .expect("diag: synthetic domains are well-formed");
-    let serving = Arc::new(ServingEngine::new(engine));
-    let scheduler = Arc::new(BatchScheduler::new(
-        Arc::clone(&serving),
-        BatchConfig {
-            max_wait: Duration::from_micros(300),
-            queue_capacity: 8192,
-            ..BatchConfig::default()
-        },
-    ));
-    // The acceptance bar for the tracing hot path: 1-in-8 sampling must
-    // cost nothing measurable against the untraced BENCH_7 baseline.
-    let ring = TraceRing::new(1024, 8);
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        NetBackend::Scheduler(scheduler),
-        NetServerConfig {
-            trace: Some(Arc::clone(&ring)),
-            ..NetServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr();
-
-    let threads = 8usize;
-    let conns_per_thread = 8usize;
-    let rounds = 30usize;
-    let request_rows = 4usize;
-    let base = &stream.domain(0).test.x;
-    let request = base.slice_rows(0, request_rows);
-    let reference = serving.predict_ite(&request).expect("well-formed request");
-    println!(
-        "net: loopback reactor on {addr}, {} connections x {rounds} rounds x {request_rows}-row requests",
-        threads * conns_per_thread
-    );
-
-    let hist = LatencyHistogram::new();
-    let bitwise_ok = AtomicBool::new(true);
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (hist, bitwise_ok, reference, request) = (&hist, &bitwise_ok, &reference, &request);
-            scope.spawn(move || {
-                let mut clients: Vec<NetClient> = (0..conns_per_thread)
-                    .map(|_| NetClient::connect(addr).expect("loopback connect"))
-                    .collect();
-                for _ in 0..rounds {
-                    for client in &mut clients {
-                        let t_req = Instant::now();
-                        let ite = client
-                            .predict(&vec![0; request.rows()], request, None)
-                            .expect("healthy request over loopback");
-                        hist.record(t_req.elapsed());
-                        if ite
-                            .iter()
-                            .zip(reference)
-                            .any(|(a, b)| a.to_bits() != b.to_bits())
-                        {
-                            bitwise_ok.store(false, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-    let expected = (threads * conns_per_thread * rounds) as u64;
-    let rows_per_sec = (expected * request_rows as u64) as f64 / elapsed.max(1e-9);
-    let snapshot = hist.snapshot();
-    let snap = server.stats();
-    let bitwise = bitwise_ok.load(Ordering::Relaxed);
-    let clean = snap.responses_ok == expected
-        && snap.rejected_serve == 0
-        && snap.rejected_client == 0
-        && snap.deadline_shed == 0;
-    println!(
-        "net: {rows_per_sec:>9.0} rows/sec end-to-end | request latency p50 {:.2} ms p95 {:.2} ms p99 {:.2} ms",
-        snapshot.p50.as_secs_f64() * 1e3,
-        snapshot.p95.as_secs_f64() * 1e3,
-        snapshot.p99.as_secs_f64() * 1e3,
-    );
-    println!(
-        "net: {} accepted, {} ok responses ({} expected), {} serve faults (want 0), bitwise-identical: {bitwise}",
-        snap.accepted, snap.responses_ok, expected, snap.rejected_serve,
-    );
-    println!(
-        "NOTE: on this 1-CPU container the reactor, the batch collector, and the clients \
-time-share one core, so the latency tail measures the machine; the rows/sec and the \
-zero-fault/bitwise checks are the signal."
-    );
-    server.shutdown().expect("reactor joins cleanly");
-
-    let trace_stats = ring.stats();
-    let spans = ring.dump(1024);
-    let monotone = spans.iter().all(|s| s.is_monotone());
-    let trace_ok = monotone && trace_stats.sampled > 0 && trace_stats.dropped == 0;
-    println!(
-        "net: trace 1-in-8: {} seen, {} sampled, {} completed, {} dropped, all monotone: {monotone}",
-        trace_stats.seen, trace_stats.sampled, trace_stats.completed, trace_stats.dropped,
-    );
-
-    let mut record = ProbeRecord::new("net", rows_per_sec, snapshot);
-    record.passed = bitwise && clean && trace_ok;
-    record.detail = format!(
-        "{} conns x {rounds} rounds over loopback; ok {}/{}; serve faults {}; bitwise: {bitwise}; \
-         trace 1-in-8 sampled {} dropped {} monotone {monotone}",
-        threads * conns_per_thread,
-        snap.responses_ok,
-        expected,
-        snap.rejected_serve,
-        trace_stats.sampled,
-        trace_stats.dropped,
-    );
-    record
-}
-
-/// Orchestrated-rebalance probe: a 4-shard fleet (clones of one engine,
-/// so the single-engine reference is bitwise exact) starts with eight
-/// domains packed onto two shards; a [`cerl_serve::RebalanceOrchestrator`]
-/// executes the plan to a spread-out target — one canary-watched
-/// begin → probe → commit move at a time — while client threads hammer
-/// mixed-domain scatter requests and bitwise-check every response.
-/// Emits one machine-readable JSON line with the probe's outcome.
-fn orchestrate_probe(stream: &DomainStream, cfg: &cerl_core::CerlConfig, seed: u64) -> ProbeRecord {
-    use cerl_core::engine::CerlEngineBuilder;
-    use cerl_core::ShardMap;
-    use cerl_serve::{
-        CanaryConfig, LatencyHistogram, OrchestratorConfig, RebalanceOrchestrator, ShardRouter,
-    };
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let mut engine = CerlEngineBuilder::new(cfg.clone())
-        .seed(seed)
-        .build()
-        .expect("diag: config validated by model_config");
-    engine
-        .observe(&stream.domain(0).train, &stream.domain(0).val)
-        .expect("diag: synthetic domains are well-formed");
-
-    // Eight domains packed onto shards 0 and 1 of a 4-shard fleet; the
-    // target spreads them round-robin across all four.
-    let shards = 4usize;
-    let domains = 8u64;
-    let packed: Vec<(u64, usize)> = (0..domains).map(|d| (d, (d % 2) as usize)).collect();
-    let spread: Vec<(u64, usize)> = (0..domains).map(|d| (d, d as usize % shards)).collect();
-    let current = ShardMap::from_pairs(shards, &packed).expect("pairs are in range");
-    let target = ShardMap::from_pairs(shards, &spread).expect("pairs are in range");
-    let router = Arc::new(
-        ShardRouter::new((0..shards).map(|_| engine.clone()).collect(), current)
-            .expect("fleet sizes agree"),
-    );
-    let orchestrator = RebalanceOrchestrator::new(
-        Arc::clone(&router),
-        OrchestratorConfig {
-            canary: CanaryConfig {
-                window_requests: 8,
-                max_wait: Duration::from_secs(10),
-                max_error_rate: 0.5,
-                // Latency on a loaded 1-CPU container is too noisy to
-                // gate a smoke probe on; the stress suite covers it.
-                max_p95_ratio: 1e6,
-            },
-            max_staged: 2,
-        },
-    );
-    let plan = orchestrator
-        .plan(&target)
-        .expect("target only moves domains");
-    println!(
-        "orchestrate: {} move(s) planned from packed {{0,1}} to round-robin over {shards} shards",
-        plan.len()
-    );
-
-    let base = &stream.domain(0).test.x;
-    let request_rows = 64usize;
-    let request = base.select_rows(
-        &(0..request_rows)
-            .map(|i| i % base.rows())
-            .collect::<Vec<_>>(),
-    );
-    let tags: Vec<u64> = (0..request_rows).map(|i| i as u64 % domains).collect();
-    let reference = engine.predict_ite(&request).expect("well-formed request");
-
-    let stop = AtomicBool::new(false);
-    let errors = AtomicUsize::new(0);
-    let served = AtomicUsize::new(0);
-    let torn = AtomicUsize::new(0);
-    let hist = LatencyHistogram::new();
-    let t0 = Instant::now();
-    let mut outcome = None;
-    std::thread::scope(|scope| {
-        for _ in 0..2 {
-            let router = Arc::clone(&router);
-            let (stop, errors, served, torn) = (&stop, &errors, &served, &torn);
-            let (reference, tags, request, hist) = (&reference, &tags, &request, &hist);
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let t_req = Instant::now();
-                    match router.predict_ite_scatter(tags, request) {
-                        Ok(ite) => {
-                            hist.record(t_req.elapsed());
-                            served.fetch_add(1, Ordering::Relaxed);
-                            if ite
-                                .iter()
-                                .zip(reference)
-                                .any(|(a, b)| a.to_bits() != b.to_bits())
-                            {
-                                torn.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-        outcome = Some(orchestrator.execute(&plan, |_| Ok(engine.clone())));
-        stop.store(true, Ordering::Relaxed);
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-    let outcome = outcome.expect("scope body ran");
-
-    let error_count = errors.load(Ordering::Relaxed);
-    let torn_count = torn.load(Ordering::Relaxed);
-    let committed = outcome.as_ref().map_or(0, |r| r.moves.len());
-    let plan_ok = match &outcome {
-        Ok(report) => {
-            for mv in &report.moves {
-                println!(
-                    "  committed: {} (destination v{}, window {} reqs / {} rejected)",
-                    mv.mv, mv.destination_version, mv.window.requests, mv.window.rejected
-                );
-            }
-            true
-        }
-        Err(e) => {
-            println!("  plan halted: {e}");
-            false
-        }
-    };
-    let topology_ok = *router.map() == target;
-    let rows_per_sec = (served.load(Ordering::Relaxed) * request_rows) as f64 / elapsed.max(1e-9);
-    println!(
-        "under orchestration: {} scatter requests answered ({rows_per_sec:.0} rows/sec), \
-         {error_count} errors (want 0), {torn_count} torn responses (want 0); shard versions {:?}",
-        served.load(Ordering::Relaxed),
-        router.shard_versions(),
-    );
-
-    let mut record = ProbeRecord::new("orchestrate", rows_per_sec, hist.snapshot());
-    record.passed =
-        plan_ok && topology_ok && error_count == 0 && torn_count == 0 && committed == plan.len();
-    record.detail = format!(
-        "{}/{} moves committed; topology reached target: {topology_ok}; errors: {error_count}; \
-         torn: {torn_count}",
-        committed,
-        plan.len()
-    );
-    // The machine-readable line CI-side tooling scrapes without parsing
-    // the human text above.
-    println!(
-        "{}",
-        serde_json::to_string(&record).expect("probe record serializes")
-    );
-    record
-}
-
-/// Dense-kernel raw-speed probe: textbook triple-loop f64 GEMM vs the
-/// cache-blocked microkernel at 256³ (the smallest size the acceptance
-/// bar names). Reports GFLOP/s for both and fails unless the blocked
-/// kernel is at least 2x the naive one *and* every entry point —
-/// naive, serial, parallel, size-dispatched — returns bitwise-identical
-/// output. The naive comparison is bitwise-valid here because the whole
-/// inner dimension fits one `KC = 256` block, so both kernels sum the
-/// same 256 terms in ascending order from a fresh accumulator — with
-/// the naive loop using the same fused-multiply-add contract as the
-/// blocked kernel (one rounding per term when the target has hardware
-/// FMA), so the ratio measures blocking and vectorization, not a
-/// rounding shortcut.
-fn matmul_probe() -> ProbeRecord {
-    use cerl_math::matmul::{matmul, matmul_parallel, matmul_serial};
-    use cerl_math::Matrix;
-    use cerl_serve::LatencyHistogram;
-    use std::time::Instant;
-
-    let dim = 256usize;
-    // Deterministic non-trivial fill: sign-mixed, no shared structure
-    // between A and B, no RNG dependency.
-    let a = Matrix::from_fn(dim, dim, |i, j| {
-        ((i * 31 + j * 7) % 97) as f64 * 0.013 - 0.5
-    });
-    let b = Matrix::from_fn(dim, dim, |i, j| {
-        ((i * 17 + j * 13) % 89) as f64 * 0.011 - 0.4
-    });
-
-    // Same per-term arithmetic as cerl-math's kernel helper: one fused
-    // rounding when the build has hardware FMA, mul-then-add otherwise.
-    #[inline(always)]
-    fn fma(a: f64, b: f64, c: f64) -> f64 {
-        #[cfg(target_feature = "fma")]
-        {
-            a.mul_add(b, c)
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            a * b + c
+        if flag == "--units" {
+            extra.next();
         }
     }
-
-    let naive = |a: &Matrix, b: &Matrix| -> Matrix {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let (asl, bsl) = (a.as_slice(), b.as_slice());
-        let mut out = Matrix::zeros(m, n);
-        let osl = out.as_mut_slice();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc = fma(asl[i * k + p], bsl[p * n + j], acc);
-                }
-                osl[i * n + j] = acc;
-            }
-        }
-        out
-    };
-
-    let flops = (2 * dim * dim * dim) as f64;
-    let reps = 5usize;
-    let time = |f: &dyn Fn() -> Matrix, hist: Option<&LatencyHistogram>| -> (Matrix, f64) {
-        let reference = f(); // warm-up outside the timing
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let t_mul = Instant::now();
-            f();
-            if let Some(h) = hist {
-                h.record(t_mul.elapsed());
-            }
-        }
-        (
-            reference,
-            flops * reps as f64 / t0.elapsed().as_secs_f64() / 1e9,
-        )
-    };
-
-    let hist = LatencyHistogram::new();
-    let (c_naive, naive_gflops) = time(&|| naive(&a, &b), None);
-    let (c_blocked, blocked_gflops) = time(&|| matmul_serial(&a, &b), Some(&hist));
-    let speedup = blocked_gflops / naive_gflops.max(1e-9);
-
-    let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
-    let reference = bits(&c_blocked);
-    let bitwise = bits(&c_naive) == reference
-        && bits(&matmul_parallel(&a, &b)) == reference
-        && bits(&matmul(&a, &b)) == reference;
-
-    println!(
-        "matmul {dim}^3 f64: naive {naive_gflops:.2} GFLOP/s | blocked {blocked_gflops:.2} GFLOP/s \
-         (x{speedup:.2}, want >= 2) | naive/serial/parallel/dispatch bitwise-identical: {bitwise}"
-    );
-
-    // rows_per_sec keeps the trajectory schema: output rows of C per
-    // second through the blocked serial kernel.
-    let rows_per_sec = blocked_gflops * 1e9 / flops * dim as f64;
-    let mut record = ProbeRecord::new("matmul", rows_per_sec, hist.snapshot());
-    record.passed = bitwise && speedup >= 2.0;
-    record.detail = format!(
-        "{dim}^3 f64: naive {naive_gflops:.2} vs blocked {blocked_gflops:.2} GFLOP/s (x{speedup:.2}); \
-         bitwise: {bitwise}"
-    );
-    record
 }
 
 /// Pure supervised regression of the true ITE surface τ(x): upper-bounds
 /// what any causal estimator could achieve on this data.
-fn supervised_probe(train: &cerl_data::CausalDataset, test: &cerl_data::CausalDataset, seed: u64) {
+fn supervised_probe(
+    train: &cerl_data::CausalDataset,
+    test: &cerl_data::CausalDataset,
+    seed: u64,
+    linear_probe: bool,
+) {
     use cerl_data::Standardizer;
     use cerl_math::Matrix;
     use cerl_nn::{Activation, Adam, Graph, Mlp, Optimizer, ParamStore};
     let std = Standardizer::fit(&train.x);
     let xs = std.transform(&train.x);
     let xt = std.transform(&test.x);
-    let linear_probe = std::env::args().any(|a| a == "--probe-linear");
     let (tau_train, tau_test) = if linear_probe {
         // Linear target: w = 1/sqrt(d) on every coordinate.
         let d = xs.cols() as f64;
@@ -1198,69 +232,9 @@ fn cerl_term_sweep(_stream: &DomainStream, base: &cerl_core::CerlConfig, seed: u
     }
 }
 
-/// Exit non-zero when any probe's correctness check missed, naming it —
-/// a bitwise mismatch or request failure in a bench lane is a bug, not a
-/// slow run.
-fn exit_on_failure(records: &[ProbeRecord]) {
-    let failed: Vec<&str> = records
-        .iter()
-        .filter(|r| !r.passed)
-        .map(|r| r.probe.as_str())
-        .collect();
-    if !failed.is_empty() {
-        eprintln!("diag: FAILED probe(s): {}", failed.join(", "));
-        std::process::exit(1);
-    }
-}
-
-/// `--diff-trajectory NEW OLD [--band PCT] [--p95-band PCT]`: the
-/// tolerance-banded regression check between two trajectory artifacts.
-/// Exits non-zero when any probe regressed beyond its band; CI runs it
-/// soft-fail so the log line, not a red build, is the signal.
-fn diff_trajectory(args: &RunArgs, pos: usize) -> ! {
-    let new_path = args
-        .extra
-        .get(pos + 1)
-        .expect("--diff-trajectory needs NEW and OLD artifact paths");
-    let old_path = args
-        .extra
-        .get(pos + 2)
-        .expect("--diff-trajectory needs NEW and OLD artifact paths");
-    let mut band = BandConfig::default();
-    if let Some(b) = args.extra.iter().position(|f| f == "--band") {
-        band.max_rows_per_sec_drop_pct = args.extra[b + 1]
-            .parse()
-            .expect("--band needs a percentage");
-    }
-    if let Some(b) = args.extra.iter().position(|f| f == "--p95-band") {
-        band.max_p95_rise_pct = args.extra[b + 1]
-            .parse()
-            .expect("--p95-band needs a percentage");
-    }
-    let new = trajectory::load_report(std::path::Path::new(new_path))
-        .unwrap_or_else(|e| panic!("diag: {e}"));
-    let old = trajectory::load_report(std::path::Path::new(old_path))
-        .unwrap_or_else(|e| panic!("diag: {e}"));
-    let diff = trajectory::diff_reports(&new, &old, band);
-    print!("{}", diff.render());
-    if diff.ok() {
-        println!("trajectory diff: within bands");
-        std::process::exit(0);
-    }
-    eprintln!("diag: trajectory regression beyond the tolerance band");
-    std::process::exit(1);
-}
-
 fn main() {
     let args = RunArgs::parse(std::env::args().skip(1));
-    if let Some(pos) = args.extra.iter().position(|f| f == "--diff-trajectory") {
-        diff_trajectory(&args, pos);
-    }
-    // Raw-speed lane: pure kernel arithmetic, no synthetic data needed.
-    if args.has_flag("--matmul") {
-        exit_on_failure(&[matmul_probe()]);
-        return;
-    }
+    reject_unknown_flags(&args);
     let mut cfg = model_config(args.scale);
     // Ad-hoc calibration switches.
     if args.has_flag("--no-cosine") {
@@ -1289,8 +263,10 @@ fn main() {
     }
     let mut data_cfg = synthetic_config(args.scale);
     if let Some(pos) = args.extra.iter().position(|f| f == "--units") {
-        data_cfg.n_units = args.extra[pos + 1]
-            .parse()
+        data_cfg.n_units = args
+            .extra
+            .get(pos + 1)
+            .and_then(|v| v.parse().ok())
             .expect("--units needs an integer");
     }
     if args.has_flag("--noise0") {
@@ -1311,71 +287,16 @@ fn main() {
     );
 
     if args.has_flag("--supervised") {
-        supervised_probe(&d0.train, &d0.test, args.seed);
+        supervised_probe(
+            &d0.train,
+            &d0.test,
+            args.seed,
+            args.has_flag("--probe-linear"),
+        );
         return;
     }
     if args.has_flag("--sweep") {
         cerl_term_sweep(&stream, &cfg, args.seed);
-        return;
-    }
-    // The perf-trajectory lane: run every serving-path probe, write one
-    // JSON artifact, and fail the process on any correctness miss — CI's
-    // bench job doubles as a gate.
-    if let Some(pos) = args.extra.iter().position(|f| f == "--trajectory") {
-        let path = args
-            .extra
-            .get(pos + 1)
-            .expect("--trajectory needs an output path");
-        let probes = vec![
-            matmul_probe(),
-            serving_probe(&stream, &cfg, args.seed),
-            batched_probe(&stream, &cfg, args.seed),
-            scatter_probe(&stream, &cfg, args.seed),
-            replicas_probe(&stream, &cfg, args.seed),
-            orchestrate_probe(&stream, &cfg, args.seed),
-            net_probe(&stream, &cfg, args.seed),
-        ];
-        let report = TrajectoryReport {
-            schema: "cerl-bench-trajectory/v1".into(),
-            scale: format!("{:?}", args.scale).to_lowercase(),
-            seed: args.seed,
-            probes,
-        };
-        let json = serde_json::to_string_pretty(&report).expect("trajectory serializes");
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("trajectory artifact written to {path}");
-        exit_on_failure(&report.probes);
-        return;
-    }
-    if args.has_flag("--serving") {
-        exit_on_failure(&[serving_probe(&stream, &cfg, args.seed)]);
-        return;
-    }
-    if args.has_flag("--concurrent") {
-        if !concurrent_probe(&stream, &cfg, args.seed) {
-            eprintln!("diag: --concurrent probe FAILED");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.has_flag("--batched") {
-        exit_on_failure(&[batched_probe(&stream, &cfg, args.seed)]);
-        return;
-    }
-    if args.has_flag("--scatter") {
-        exit_on_failure(&[scatter_probe(&stream, &cfg, args.seed)]);
-        return;
-    }
-    if args.has_flag("--replicas") {
-        exit_on_failure(&[replicas_probe(&stream, &cfg, args.seed)]);
-        return;
-    }
-    if args.has_flag("--orchestrate") {
-        exit_on_failure(&[orchestrate_probe(&stream, &cfg, args.seed)]);
-        return;
-    }
-    if args.has_flag("--net") {
-        exit_on_failure(&[net_probe(&stream, &cfg, args.seed)]);
         return;
     }
     let mut model = CfrModel::new(d0.train.dim(), cfg, args.seed);

@@ -1,7 +1,7 @@
 //! # cerl-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! CERL paper, plus criterion micro-benchmarks (see `benches/`).
+//! CERL paper.
 //!
 //! Binaries (`cargo run -p cerl-bench --release --bin <name> [-- flags]`):
 //!
@@ -22,7 +22,5 @@ pub mod report;
 pub mod scale;
 pub mod table1;
 pub mod table2;
-pub mod trajectory;
 
 pub use scale::{RunArgs, Scale};
-pub use trajectory::{BandConfig, ProbeRecord, TrajectoryReport};

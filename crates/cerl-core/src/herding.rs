@@ -71,7 +71,7 @@ pub fn random_select<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<us
 }
 
 /// Mean-approximation error `‖mean(selected) − mean(all)‖₂` of a selection
-/// (diagnostic used in tests and benches).
+/// (diagnostic used in tests).
 pub fn mean_approximation_error(reprs: &Matrix, selected: &[usize]) -> f64 {
     if selected.is_empty() {
         return f64::INFINITY;

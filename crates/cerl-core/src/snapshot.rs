@@ -13,11 +13,12 @@
 //! Two serialized forms exist, and [`ModelSnapshot::from_bytes`] reads
 //! both:
 //!
-//! * **JSON** (format versions 1 and 2) — a self-describing document with
-//!   an explicit [`format_version`](ModelSnapshot::format_version) field,
-//!   written by [`ModelSnapshot::to_bytes`]. Numbers round-trip exactly,
-//!   so a restored model's predictions are bitwise identical to the
-//!   captured model's.
+//! * **JSON** (format versions 1, 2 and 4) — a self-describing document
+//!   with an explicit [`format_version`](ModelSnapshot::format_version)
+//!   field. [`ModelSnapshot::to_bytes`] writes version 4
+//!   ([`SNAPSHOT_FORMAT_VERSION`]); versions 1 and 2 are upgraded on
+//!   read. Numbers round-trip exactly, so a restored model's
+//!   predictions are bitwise identical to the captured model's.
 //! * **Binary v3** — a compact little-endian container written by
 //!   [`ModelSnapshot::to_binary_bytes`] that hoists the float bulk (which
 //!   dominates a trained snapshot) out of the JSON text into raw IEEE-754
@@ -751,7 +752,8 @@ impl ModelSnapshot {
         self
     }
 
-    /// Serialize to the versioned JSON byte format (format v2).
+    /// Serialize to the versioned JSON byte format (format v4,
+    /// [`SNAPSHOT_FORMAT_VERSION`]).
     pub fn to_bytes(&self) -> Result<Vec<u8>, CerlError> {
         serde_json::to_vec(self).map_err(|e| malformed(e.to_string()))
     }
@@ -819,8 +821,9 @@ impl ModelSnapshot {
 
     /// Parse from either versioned byte format: the binary v3 container
     /// (recognized by its leading magic) or a JSON document (format
-    /// versions 1 and 2 — a v1 document simply predates the shard routing
-    /// fields, which restore as `None`).
+    /// versions 1, 2 and 4). A v1 document predates the shard routing
+    /// fields, which restore as `None`; a v2 document's single-shard
+    /// assignments restore as one-replica sets.
     ///
     /// The version field is checked *before* the rest of the document is
     /// interpreted, so a newer-format snapshot yields

@@ -51,8 +51,8 @@ const MR: usize = 4;
 /// `std::thread::available_parallelism` is a syscall; [`matmul`] sits on
 /// the hottest path of both training and serving, so the value is resolved
 /// once per process and cached in a `OnceLock` (the machine's core count
-/// does not change under us). Public so diagnostics can report the figure
-/// the kernels will actually use.
+/// does not change under us). Public so callers that split work across
+/// threads themselves use the same count as the kernels.
 pub fn worker_threads() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -589,6 +589,57 @@ mod tests {
         let b = pseudo_random_matrix(8, 0, 47);
         let c = matmul_parallel(&a, &b);
         assert_eq!(c.shape(), (64, 0));
+    }
+
+    /// The blocked kernel's reason to exist: at 256³ the serial kernel is
+    /// at least 2x a naive triple loop under the same FMA contract, and
+    /// naive, serial, parallel and dispatched products agree bitwise. The
+    /// naive comparison is bitwise-valid because the inner dimension fits
+    /// one `KC` block, so every kernel sums the same terms in ascending
+    /// order from a fresh accumulator. Timings mean nothing unoptimized,
+    /// so the test runs in release builds only.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn blocked_kernel_is_2x_naive_and_bitwise_equal_at_256_cubed() {
+        use std::time::{Duration, Instant};
+
+        let dim = 256;
+        assert!(dim <= KC, "the bitwise check needs K within one KC block");
+        let a = pseudo_random_matrix(dim, dim, 50);
+        let b = pseudo_random_matrix(dim, dim, 51);
+        let naive_fma = || {
+            let (asl, bsl) = (a.as_slice(), b.as_slice());
+            Matrix::from_fn(dim, dim, |i, j| {
+                (0..dim).fold(0.0, |acc, p| fma(asl[i * dim + p], bsl[p * dim + j], acc))
+            })
+        };
+        // Best of five after a warm-up: the floor compares kernels, not
+        // whatever else the machine runs at the same time.
+        let best = |f: &dyn Fn() -> Matrix| -> (Matrix, Duration) {
+            let out = f();
+            let fastest = (0..5)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    f();
+                    t0.elapsed()
+                })
+                .min()
+                .expect("five timed runs");
+            (out, fastest)
+        };
+        let (c_naive, t_naive) = best(&naive_fma);
+        let (c_serial, t_serial) = best(&|| matmul_serial(&a, &b));
+        let speedup = t_naive.as_secs_f64() / t_serial.as_secs_f64().max(1e-9);
+        assert!(
+            speedup >= 2.0,
+            "blocked kernel only x{speedup:.2} over naive ({t_serial:?} vs {t_naive:?})"
+        );
+        assert!(bits_eq(&c_naive, &c_serial), "naive vs serial");
+        assert!(
+            bits_eq(&matmul_parallel(&a, &b), &c_serial),
+            "parallel vs serial"
+        );
+        assert!(bits_eq(&matmul(&a, &b), &c_serial), "dispatch vs serial");
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   hostile bytes can be wrong; decoding never panics and never
 //!   over-allocates.
 //! * [`client`] — [`NetClient`]: a small blocking client used by the
-//!   tests, benches, and examples; supports pipelining, raw-byte
-//!   injection for robustness tests, and the admin ops
+//!   tests and examples; supports pipelining, raw-byte injection for
+//!   robustness tests, and the admin ops
 //!   ([`NetClient::scrape_metrics`], [`NetClient::health`],
 //!   [`NetClient::trace_dump`]).
 //!
