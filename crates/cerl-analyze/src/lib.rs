@@ -70,7 +70,7 @@ pub fn scan_file(path: &Path, rel: &str) -> io::Result<SourceFile> {
 ///   `cerl-obs/src/domains.rs`) are scoped automatically;
 /// - the dense-kernel hot modules — `cerl-math/src/matmul.rs` (the
 ///   blocked GEMM every predict routes through) and
-///   `cerl-core/src/precision.rs` (the f32 serving plan) — are also
+///   `cerl-core/src/precision.rs` (the compiled inference plan) — are also
 ///   panic-path scoped: a panic there takes down a request thread just
 ///   as surely as one in `serving.rs`;
 /// - hot-path modules (`serving.rs`, `histogram.rs`, `server.rs`,

@@ -14,6 +14,7 @@
 
 use crate::config::CerlConfig;
 use crate::error::CerlError;
+use crate::precision::mlp_output;
 use crate::strategies::ContinualEstimator;
 use crate::trainer::{minibatches, validate_stage_inputs, EarlyStopper, TrainReport};
 use cerl_data::{CausalDataset, OutcomeScaler, Standardizer};
@@ -49,11 +50,8 @@ fn train_regressor(
         if xv.rows() == 0 {
             return 0.0;
         }
-        let mut g = Graph::new();
-        let xin = g.input(xv.clone());
-        let pred = net.forward(&mut g, store, xin);
-        let pv = g.value(pred).col(0);
-        pv.iter()
+        mlp_output(store, net, xv)
+            .iter()
             .zip(yv)
             .map(|(p, t)| (p - t) * (p - t))
             .sum::<f64>()
@@ -197,10 +195,8 @@ impl ContinualEstimator for SLearner {
         let all_true = vec![true; x.rows()];
         let all_false = vec![false; x.rows()];
         let eval = |t: &[bool]| -> Vec<f64> {
-            let mut g = Graph::new();
-            let xin = g.input(augment_with_treatment(&xs, t));
-            let pred = self.net.forward(&mut g, &self.store, xin);
-            scale.inverse(&g.value(pred).col(0))
+            let xt = augment_with_treatment(&xs, t);
+            scale.inverse(&mlp_output(&self.store, &self.net, &xt))
         };
         let y1 = eval(&all_true);
         let y0 = eval(&all_false);
@@ -310,12 +306,7 @@ impl ContinualEstimator for TLearner {
             _ => return Err(CerlError::NotTrained),
         };
         let xs = std.try_transform(x)?;
-        let eval = |net: &Mlp| -> Vec<f64> {
-            let mut g = Graph::new();
-            let xin = g.input(xs.clone());
-            let pred = net.forward(&mut g, &self.store, xin);
-            scale.inverse(&g.value(pred).col(0))
-        };
+        let eval = |net: &Mlp| scale.inverse(&mlp_output(&self.store, net, &xs));
         let y1 = eval(&self.net1);
         let y0 = eval(&self.net0);
         Ok(y1.iter().zip(&y0).map(|(a, b)| a - b).collect())

@@ -10,6 +10,7 @@
 use crate::config::{CerlConfig, IpmKind};
 use crate::error::CerlError;
 use crate::heads::OutcomeHeads;
+use crate::precision::{InferencePlan, Predictor};
 use crate::repr::ReprNet;
 use crate::snapshot::CfrState;
 use crate::trainer::{minibatches, validate_stage_inputs, EarlyStopper, TrainReport};
@@ -172,7 +173,7 @@ impl CfrModel {
             }
             final_train_loss = epoch_loss / n_batches.max(1) as f64;
 
-            let val_loss = self.factual_mse_scaled(&xv, &yv, &val.t);
+            let val_loss = self.factual_mse_scaled(&xv, &yv, &val.t)?;
             if stopper.update(&self.store, val_loss) {
                 break;
             }
@@ -209,18 +210,23 @@ impl CfrModel {
 
     /// Factual MSE in scaled-outcome space on pre-standardized covariates
     /// (validation criterion).
-    fn factual_mse_scaled(&self, x_std: &Matrix, y_scaled: &[f64], t: &[bool]) -> f64 {
+    fn factual_mse_scaled(
+        &self,
+        x_std: &Matrix,
+        y_scaled: &[f64],
+        t: &[bool],
+    ) -> Result<f64, CerlError> {
         if x_std.rows() == 0 {
-            return 0.0;
+            return Ok(0.0);
         }
-        let r = self.repr.embed(&self.store, x_std);
-        let (y0, y1) = self.heads.predict_both(&self.store, &r);
+        let plan = InferencePlan::<f64>::network(&self.store, &self.repr, &self.heads);
+        let (y0, y1) = plan.predict_potential_outcomes(x_std)?;
         let mut se = 0.0;
         for i in 0..x_std.rows() {
             let pred = if t[i] { y1[i] } else { y0[i] };
             se += (pred - y_scaled[i]) * (pred - y_scaled[i]);
         }
-        se / x_std.rows() as f64
+        Ok(se / x_std.rows() as f64)
     }
 
     /// Representations of (raw) covariates under the trained pipeline.
@@ -239,17 +245,7 @@ impl CfrModel {
     /// failing with a typed error before training or on a dimension
     /// mismatch.
     pub fn try_embed(&self, x: &Matrix) -> Result<Matrix, CerlError> {
-        let std = match self.x_std.as_ref() {
-            Some(std) => std,
-            None => return Err(CerlError::NotTrained),
-        };
-        if x.cols() != self.d_in {
-            return Err(CerlError::DimensionMismatch {
-                expected: self.d_in,
-                found: x.cols(),
-            });
-        }
-        Ok(self.repr.embed(&self.store, &std.try_transform(x)?))
+        InferencePlan::<f64>::compile(self)?.embed(x)
     }
 
     /// Predict both potential outcomes (original outcome scale).
@@ -270,13 +266,7 @@ impl CfrModel {
         &self,
         x: &Matrix,
     ) -> Result<(Vec<f64>, Vec<f64>), CerlError> {
-        let r = self.try_embed(x)?;
-        let (y0s, y1s) = self.heads.predict_both(&self.store, &r);
-        let scale = match self.y_scale.as_ref() {
-            Some(scale) => scale,
-            None => return Err(CerlError::NotTrained),
-        };
-        Ok((scale.inverse(&y0s), scale.inverse(&y1s)))
+        InferencePlan::<f64>::compile(self)?.predict_potential_outcomes(x)
     }
 
     /// Predicted individual treatment effects `ŷ₁ − ŷ₀`.
@@ -294,8 +284,7 @@ impl CfrModel {
     /// Predicted individual treatment effects `ŷ₁ − ŷ₀`, failing with a
     /// typed error before training or on a dimension mismatch.
     pub fn try_predict_ite(&self, x: &Matrix) -> Result<Vec<f64>, CerlError> {
-        let (y0, y1) = self.try_predict_potential_outcomes(x)?;
-        Ok(y1.iter().zip(&y0).map(|(&a, &b)| a - b).collect())
+        InferencePlan::<f64>::compile(self)?.predict_ite(x)
     }
 
     // ---- internals exposed to the continual trainer -------------------

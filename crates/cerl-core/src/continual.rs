@@ -25,6 +25,7 @@ use crate::cfr::CfrModel;
 use crate::config::{CerlConfig, DistillKind, IpmKind};
 use crate::error::CerlError;
 use crate::memory::Memory;
+use crate::precision::{InferencePlan, Predictor};
 use crate::snapshot::ModelSnapshot;
 use crate::trainer::{minibatches, validate_stage_inputs, EarlyStopper, TrainReport};
 use crate::transform::FeatureTransform;
@@ -224,7 +225,7 @@ impl Cerl {
     /// the captured one stopped: it serves predictions for all previously
     /// seen domains and `observe`s subsequent domains.
     pub fn from_snapshot(snapshot: ModelSnapshot) -> Result<Self, CerlError> {
-        snapshot.into_cerl()
+        snapshot.into_cerl().map(|(cerl, _plan)| cerl)
     }
 
     /// Reassemble a learner from restored parts (snapshot support).
@@ -279,7 +280,9 @@ impl Cerl {
         let yv = y_scale.transform(&val.y);
         // Old-model representations of new data (constants for L_FD / L_FT).
         let xs_old_pipeline = old_x_std.try_transform(&train.x)?;
-        let r_old_full = self.model.repr().embed(&old_store, &xs_old_pipeline);
+        let r_old_full =
+            InferencePlan::<f64>::network(&old_store, self.model.repr(), self.model.heads())
+                .embed(&xs_old_pipeline)?;
         self.model.set_scalers(x_std, y_scale);
 
         // The paper trains *new parameters* w_d each stage; the old model
@@ -315,7 +318,12 @@ impl Cerl {
         // warm-started old model, so the target is the (nearly identical)
         // new-pipeline representation of the same units.
         if use_transform && self.cfg.train.phi_warmup_steps > 0 {
-            let r_new_init = self.model.repr().embed(self.model.store(), &xs);
+            let r_new_init = InferencePlan::<f64>::network(
+                self.model.store(),
+                self.model.repr(),
+                self.model.heads(),
+            )
+            .embed(&xs)?;
             let phi_params = phi.params();
             let mut phi_opt = Adam::new(self.cfg.train.learning_rate);
             let n = xs.rows();
@@ -376,7 +384,8 @@ impl Cerl {
             }
             final_train_loss = epoch_loss / n_batches.max(1) as f64;
 
-            let val_loss = self.stage_val_loss(&xv, &yv, &val.t, &phi, mem.as_ref(), &mem_y_scaled);
+            let val_loss =
+                self.stage_val_loss(&xv, &yv, &val.t, &phi, mem.as_ref(), &mem_y_scaled)?;
             if stopper.update(self.model.store(), val_loss) {
                 break;
             }
@@ -553,12 +562,12 @@ impl Cerl {
         phi: &FeatureTransform,
         mem: Option<&Memory>,
         mem_y_scaled: &[f64],
-    ) -> f64 {
+    ) -> Result<f64, CerlError> {
         let store = self.model.store();
+        let plan = InferencePlan::<f64>::network(store, self.model.repr(), self.model.heads());
         let mut loss = 0.0;
         if xv_std.rows() > 0 {
-            let r = self.model.repr().embed(store, xv_std);
-            let (y0, y1) = self.model.heads().predict_both(store, &r);
+            let (y0, y1) = plan.predict_potential_outcomes(xv_std)?;
             let mut se = 0.0;
             for i in 0..xv_std.rows() {
                 let pred = if tv[i] { y1[i] } else { y0[i] };
@@ -569,7 +578,7 @@ impl Cerl {
         if let Some(m) = mem {
             if !m.is_empty() {
                 let mapped = phi.apply(store, &m.r);
-                let (y0, y1) = self.model.heads().predict_both(store, &mapped);
+                let (y0, y1) = plan.heads(&mapped);
                 let mut se = 0.0;
                 for i in 0..m.len() {
                     let pred = if m.t[i] { y1[i] } else { y0[i] };
@@ -578,7 +587,7 @@ impl Cerl {
                 loss += se / m.len() as f64;
             }
         }
-        loss
+        Ok(loss)
     }
 
     /// `M_d = herding({R_d, Y_d, T_d} ∪ φ(M_{d-1}))` (the φ part was already

@@ -49,10 +49,11 @@ use crate::config::CerlConfig;
 use crate::continual::{Cerl, StageReport};
 use crate::error::CerlError;
 use crate::memory::Memory;
-use crate::precision::{F32Plan, PrecisionMode};
+use crate::precision::{self, PrecisionMode, Predictor};
 use crate::snapshot::{ModelSnapshot, SnapshotPayload};
 use cerl_data::CausalDataset;
 use cerl_math::Matrix;
+use std::sync::Arc;
 
 /// Default row-chunk size used by
 /// [`CerlEngine::predict_ite_chunked`] when the caller passes 0.
@@ -123,7 +124,7 @@ impl CerlEngineBuilder {
             seed: self.seed,
             model,
             precision: self.precision,
-            f32_plan: None,
+            plan: None,
         })
     }
 }
@@ -140,13 +141,13 @@ pub struct CerlEngine {
     cfg: CerlConfig,
     seed: u64,
     model: Option<Cerl>,
-    /// Precision predict requests are answered in. Training and
-    /// [`embed`](CerlEngine::embed) always run in `f64`.
+    /// Precision predict and embed requests are answered in. Training
+    /// always runs in `f64`.
     precision: PrecisionMode,
-    /// Compiled single-precision plan; `Some` exactly when
-    /// `precision == F32` and the engine is trained (recompiled after
-    /// every [`observe`](CerlEngine::observe), since weights change).
-    f32_plan: Option<F32Plan>,
+    /// The inference plan in `precision`; `Some` exactly when the engine
+    /// is trained (recompiled after every
+    /// [`observe`](CerlEngine::observe), since weights change).
+    plan: Option<Arc<dyn Predictor>>,
 }
 
 impl CerlEngine {
@@ -183,17 +184,16 @@ impl CerlEngine {
                 report
             }
         };
-        // The stage rewrote the weights: a compiled f32 plan is stale.
+        // The stage rewrote the weights: the compiled plan is stale.
         self.refresh_plan()?;
         Ok(report)
     }
 
     /// Switch the precision predict requests are answered in.
     ///
-    /// Under [`PrecisionMode::F32`] a single-precision plan is compiled
-    /// from the current weights (immediately if trained, otherwise at the
-    /// first successful [`observe`](CerlEngine::observe)); under
-    /// [`PrecisionMode::F64`] any compiled plan is dropped. See
+    /// The inference plan is recompiled in the new precision from the
+    /// current weights (immediately if trained, otherwise at the first
+    /// successful [`observe`](CerlEngine::observe)). See
     /// [`crate::precision`] for the per-mode determinism contract.
     pub fn set_precision(&mut self, mode: PrecisionMode) -> Result<(), CerlError> {
         self.precision = mode;
@@ -205,25 +205,25 @@ impl CerlEngine {
         self.precision
     }
 
-    /// Re-establish the invariant on [`CerlEngine::f32_plan`]: compiled
-    /// exactly when the mode is `F32` and a trained model exists.
+    /// Re-establish the invariant on [`CerlEngine::plan`]: compiled in
+    /// the engine's precision exactly when a trained model exists.
     fn refresh_plan(&mut self) -> Result<(), CerlError> {
-        self.f32_plan = match (self.precision, self.trained().ok()) {
-            (PrecisionMode::F32, Some(model)) => Some(F32Plan::compile(model.cfr())?),
-            _ => None,
+        self.plan = match self.trained() {
+            Ok(model) => Some(precision::compile(self.precision, model.cfr())?),
+            Err(_) => None,
         };
         Ok(())
+    }
+
+    fn compiled(&self) -> Result<&dyn Predictor, CerlError> {
+        self.plan.as_deref().ok_or(CerlError::NotTrained)
     }
 
     /// Predict ITEs for one validated-or-validatable request matrix in
     /// the engine's precision mode. All public predict paths funnel here,
     /// so batched/chunked/single calls stay bitwise-consistent per mode.
     fn predict_rows(&self, x: &Matrix) -> Result<Vec<f64>, CerlError> {
-        let model = self.trained()?;
-        match self.f32_plan.as_ref() {
-            Some(plan) => plan.predict_ite(x),
-            None => model.try_predict_ite(x),
-        }
+        self.compiled()?.predict_ite(x)
     }
 
     /// Predicted individual treatment effects for one request matrix, in
@@ -238,18 +238,15 @@ impl CerlEngine {
         &self,
         x: &Matrix,
     ) -> Result<(Vec<f64>, Vec<f64>), CerlError> {
-        let model = self.trained()?;
-        match self.f32_plan.as_ref() {
-            Some(plan) => plan.predict_potential_outcomes(x),
-            None => model.try_predict_potential_outcomes(x),
-        }
+        self.compiled()?.predict_potential_outcomes(x)
     }
 
-    /// Representations of raw covariates under the current pipeline.
-    /// Always computed in `f64` — embeddings feed training-side tooling
-    /// (memory selection, diagnostics), not the serving hot path.
+    /// Representations `g(x)` of raw covariates, from the same compiled
+    /// plan and in the same [`PrecisionMode`] as the predictions (widened
+    /// to `f64`). Training computes its own embeddings in `f64` whatever
+    /// the serving mode.
     pub fn embed(&self, x: &Matrix) -> Result<Matrix, CerlError> {
-        self.trained()?.try_embed(x)
+        self.compiled()?.embed(x)
     }
 
     /// Serve a batch of request matrices in one call; result `i` is the
@@ -383,13 +380,14 @@ impl CerlEngine {
     /// `f32` version calls [`CerlEngine::set_precision`] before
     /// publishing.
     pub fn from_snapshot(snapshot: ModelSnapshot) -> Result<Self, CerlError> {
-        let model = Cerl::from_snapshot(snapshot)?;
+        // Restore compiles (and smoke-checks) the f64 plan; keep it.
+        let (model, plan) = snapshot.into_cerl()?;
         Ok(Self {
             cfg: model.config().clone(),
             seed: model.seed(),
             model: Some(model),
             precision: PrecisionMode::F64,
-            f32_plan: None,
+            plan: plan.map(|p| Arc::new(p) as Arc<dyn Predictor>),
         })
     }
 

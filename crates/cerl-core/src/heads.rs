@@ -81,15 +81,6 @@ impl OutcomeHeads {
         g.add(y1m, y0m)
     }
 
-    /// Predict both potential outcomes for a representation matrix
-    /// without tracking gradients.
-    pub fn predict_both(&self, store: &ParamStore, r: &Matrix) -> (Vec<f64>, Vec<f64>) {
-        let mut g = Graph::new();
-        let rin = g.input(r.clone());
-        let (y0, y1) = self.forward_both(&mut g, store, rin);
-        (g.value(y0).col(0), g.value(y1).col(0))
-    }
-
     /// Control-arm head MLP (for inference-plan compilers).
     pub(crate) fn h0(&self) -> &Mlp {
         &self.h0
@@ -135,10 +126,10 @@ mod tests {
         let r = Matrix::from_fn(5, 6, |i, j| ((i * 6 + j) as f64 * 0.21).sin());
         let t = vec![true, false, true, false, false];
 
-        let (y0, y1) = heads.predict_both(&store, &r);
-
         let mut g = Graph::new();
         let rin = g.input(r);
+        let (y0, y1) = heads.forward_both(&mut g, &store, rin);
+        let (y0, y1) = (g.value(y0).col(0), g.value(y1).col(0));
         let yf = heads.forward_factual(&mut g, &store, rin, &t);
         let yf_v = g.value(yf).col(0);
         for i in 0..5 {

@@ -1,22 +1,20 @@
-//! Opt-in `f32` inference for serving.
+//! The compiled inference plan, in either serving precision.
 //!
-//! Training is always `f64` — optimizer dynamics, loss landscapes and the
-//! continual-regularization terms are far more rounding-sensitive than a
-//! single forward pass. Serving, by contrast, reads frozen weights, and a
-//! whole fleet of replicas answering the same request should agree
-//! *bitwise* — which only holds if they agree on the precision. This
-//! module makes precision an explicit, per-engine property instead of an
-//! implementation accident:
+//! Training is always `f64`, on the autodiff tape. Inference reads frozen
+//! weights and needs no adjoints, so it runs no tape: a model version is
+//! compiled once into an `InferencePlan` holding the standardizer, the
+//! hidden layers packed into the `cerl-math` kernel's panels, the cosine
+//! output layer's column-normalized weights (input-independent, so
+//! normalized once), the outcome heads — whose first layers share their
+//! input and run as one GEMM over `[W₀ | W₁]`, with the one-unit output
+//! layers as plain fused multiply-add chains — and the outcome rescale.
 //!
-//! * [`PrecisionMode`] selects how an engine answers predict requests.
-//!   [`PrecisionMode::F64`] (the default) runs the training-precision
-//!   forward pass. [`PrecisionMode::F32`] runs a precompiled
-//!   single-precision replica of the same network — roughly twice the
-//!   SIMD lanes per cycle and half the weight-matrix footprint.
-//! * `F32Plan` is that replica: weights narrowed once at compile time
-//!   (including the cosine output layer's column normalization, which is
-//!   input-independent), plus `f32` re-statements of the standardize →
-//!   hidden → cosine/plain output → heads → outcome-rescale pipeline.
+//! [`PrecisionMode`] picks the element type of the one plan an engine
+//! serves from. The `f64` plan is **bitwise** equal to the training
+//! forward on the tape: the same kernel and the same op order, down to
+//! adding the bias only after the kernel's `0.0 + Σ` write-back so signed
+//! zeros match. The `f32` plan narrows the weights once at compile time
+//! and runs the same steps in `f32`.
 //!
 //! # Determinism contract (per precision mode)
 //!
@@ -24,8 +22,7 @@
 //! row-independent**: every output row is a pure function of its input
 //! row and the (mode-narrowed) weights, with a fixed accumulation order
 //! that does not depend on the batch it rides in. Consequently batched ==
-//! unbatched == chunked == scatter-gather, bitwise, *within a mode* — the
-//! same contract the `f64` path has always had, now stated per mode.
+//! unbatched == chunked == scatter-gather, bitwise, *within a mode*.
 //! Across modes, results differ by narrowing error (no contract beyond
 //! approximate agreement); a fleet must therefore pin one mode per
 //! published engine version, which is exactly how
@@ -33,24 +30,28 @@
 
 use crate::cfr::CfrModel;
 use crate::error::CerlError;
-use cerl_data::Standardizer;
+use crate::heads::OutcomeHeads;
+use crate::repr::ReprNet;
+use cerl_math::matmul::{gemm, kernel_dot, Element, PackedB};
 use cerl_math::Matrix;
 use cerl_nn::layers::{Activation, Dense, Mlp};
 use cerl_nn::params::ParamStore;
+use std::borrow::Cow;
+use std::ops::{Add, Div, Mul, Sub};
+use std::sync::Arc;
 
-/// The precision an engine answers predict requests in.
+/// The precision an engine answers predict and embed requests in.
 ///
 /// See the [module docs](self) for the determinism contract. The mode is
 /// a *serving* property: it is not persisted in snapshots (a restored
 /// engine defaults to [`PrecisionMode::F64`]) and has no effect on
-/// training or on [`embed`](crate::engine::CerlEngine::embed), which
-/// always run in `f64`.
+/// training, which always runs in `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrecisionMode {
     /// Training-precision (`f64`) inference — the default.
     #[default]
     F64,
-    /// Single-precision inference from a precompiled `F32Plan`.
+    /// Single-precision inference from an `f32` plan.
     F32,
 }
 
@@ -70,53 +71,70 @@ impl std::fmt::Display for PrecisionMode {
     }
 }
 
-/// `f32` replica of the normalization threshold used by the `f64` graph
-/// ops (`cerl-nn`'s `NORM_EPS = 1e-12`): a row or column whose L2 norm is
-/// at or below this is zeroed instead of normalized. `1e-12` is exactly
-/// representable territory for `f32` (min normal ≈ `1.18e-38`), so the
-/// threshold semantics carry over unchanged.
-const NORM_EPS_F32: f32 = 1e-12;
+/// The tape's normalization threshold (`cerl-nn`'s `NORM_EPS`): a row or
+/// column with an L2 norm at or below it is zeroed, not normalized.
+const NORM_EPS: f64 = 1e-12;
 
-/// Fused multiply-add in `f32` under the same compile-time policy as the
-/// `f64` GEMM in `cerl-math`: with hardware FMA, `mul_add` is one
-/// instruction (one rounding); without it, it would be a libm call per
-/// element, so the separate multiply-and-add is kept. Bitwise determinism
-/// is per-build either way.
-#[inline(always)]
-fn fma32(a: f32, b: f32, c: f32) -> f32 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, c)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        a * b + c
-    }
+/// An element type a plan computes in. For `f64` every method is the
+/// function the tape's op calls, which keeps the plan bitwise equal to it.
+pub(crate) trait PlanFloat:
+    Element
+    + PartialOrd
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+{
+    fn to_f64(self) -> f64;
+    fn exp(self) -> Self;
+    fn tanh(self) -> Self;
+    fn sqrt(self) -> Self;
+    fn relu(self) -> Self;
+    fn clamp(self, lo: Self, hi: Self) -> Self;
+    fn sigmoid(self) -> Self;
+    /// L2 norm of one row, summed as the tape's `row_l2_normalize` sums it.
+    fn l2_norm(row: &[Self]) -> Self;
 }
 
-/// Row-major `f32` GEMM accumulating into `out += a · b`, where `a` is
-/// `m×k` (`m = a.len()/k`), `b` is `k×n`, `out` is `m×n`.
-///
-/// `ikj` loop order: each output row is produced from its own `a` row
-/// with terms added in ascending `p` — row-independent and batch-
-/// independent by construction, which is what makes the per-mode bitwise
-/// contract (module docs) hold through chunking and scatter.
-fn gemm32(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 || k == 0 {
-        return;
-    }
-    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fma32(av, bv, *o);
+macro_rules! plan_float {
+    ($t:ty, $sigmoid:expr, $l2_norm:expr) => {
+        impl PlanFloat for $t {
+            fn to_f64(self) -> f64 {
+                f64::from(self)
+            }
+            fn exp(self) -> Self {
+                <$t>::exp(self)
+            }
+            fn tanh(self) -> Self {
+                <$t>::tanh(self)
+            }
+            fn sqrt(self) -> Self {
+                <$t>::sqrt(self)
+            }
+            fn relu(self) -> Self {
+                self.max(0.0)
+            }
+            fn clamp(self, lo: Self, hi: Self) -> Self {
+                <$t>::clamp(self, lo, hi)
+            }
+            fn sigmoid(self) -> Self {
+                $sigmoid(self)
+            }
+            fn l2_norm(row: &[Self]) -> Self {
+                $l2_norm(row)
             }
         }
-    }
+    };
 }
 
-/// Numerically stable logistic sigmoid, the `f32` restatement of
-/// `cerl_math::special::sigmoid`.
-#[inline]
+plan_float!(f64, cerl_math::special::sigmoid, cerl_math::norms::l2_norm);
+plan_float!(f32, sigmoid32, |row: &[f32]| row
+    .iter()
+    .map(|&v| v * v)
+    .sum::<f32>()
+    .sqrt());
+
+/// The `f32` restatement of `cerl_math::special::sigmoid`.
 fn sigmoid32(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
@@ -126,300 +144,368 @@ fn sigmoid32(x: f32) -> f32 {
     }
 }
 
-/// `f32` restatement of [`Activation`].
+fn narrow<T: PlanFloat>(values: &[f64]) -> Vec<T> {
+    values.iter().map(|&v| T::from_f64(v)).collect()
+}
+
+/// [`Activation`] in the plan's element type.
 #[derive(Debug, Clone, Copy)]
-enum ActF32 {
+enum Act<T> {
     Identity,
     Relu,
-    Elu(f32),
+    Elu(T),
     Sigmoid,
     Tanh,
 }
 
-impl ActF32 {
-    fn from_activation(act: Activation) -> Self {
+impl<T: PlanFloat> Act<T> {
+    fn new(act: Activation) -> Self {
         match act {
-            Activation::Identity => ActF32::Identity,
-            Activation::Relu => ActF32::Relu,
-            Activation::Elu(alpha) => ActF32::Elu(alpha as f32),
-            Activation::Sigmoid => ActF32::Sigmoid,
-            Activation::Tanh => ActF32::Tanh,
+            Activation::Identity => Act::Identity,
+            Activation::Relu => Act::Relu,
+            Activation::Elu(alpha) => Act::Elu(T::from_f64(alpha)),
+            Activation::Sigmoid => Act::Sigmoid,
+            Activation::Tanh => Act::Tanh,
         }
     }
 
     #[inline]
-    fn apply(self, x: f32) -> f32 {
+    fn apply(self, x: T) -> T {
         match self {
-            ActF32::Identity => x,
-            ActF32::Relu => x.max(0.0),
-            ActF32::Elu(alpha) => {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha * (x.exp() - 1.0)
-                }
-            }
-            ActF32::Sigmoid => sigmoid32(x),
-            ActF32::Tanh => x.tanh(),
+            Act::Identity => x,
+            Act::Relu => x.relu(),
+            Act::Elu(_) if x > T::ZERO => x,
+            Act::Elu(alpha) => alpha * (x.exp() - T::from_f64(1.0)),
+            Act::Sigmoid => x.sigmoid(),
+            Act::Tanh => x.tanh(),
         }
     }
 }
 
-/// One dense layer, weights narrowed: `act(x·W + b)`.
+/// Rejects `x` unless it holds `m` rows of the `width` inputs a layer
+/// expects. A constructed model always chains; restore's smoke probe
+/// turns a hand-edited one that does not into a typed error.
+fn check_rows<T>(x: &[T], m: usize, width: usize) {
+    // panic-ok: the documented mis-wiring guard above.
+    assert!(x.len() == m * width, "mis-wired network");
+}
+
+/// One dense step `act(x·W + b)` on prepacked weights.
 #[derive(Debug, Clone)]
-struct DenseF32 {
-    /// `d_in×d_out`, row-major.
-    w: Vec<f32>,
-    /// `d_out` biases.
-    b: Vec<f32>,
-    d_in: usize,
-    d_out: usize,
-    act: ActF32,
+struct Layer<T> {
+    w: PackedB<T>,
+    /// `None` for the cosine layer, which has no bias (adding a zero bias
+    /// would turn a `-0.0` product into `+0.0`).
+    bias: Option<Vec<T>>,
+    act: Act<T>,
 }
 
-impl DenseF32 {
-    fn compile(store: &ParamStore, layer: &Dense) -> Self {
-        let w = store.value(layer.weight());
-        let b = store.value(layer.bias());
+impl<T: PlanFloat> Layer<T> {
+    fn dense(store: &ParamStore, layer: &Dense) -> Self {
         Self {
-            d_in: w.rows(),
-            d_out: w.cols(),
-            w: narrow(w.as_slice()),
-            b: narrow(b.as_slice()),
-            act: ActF32::from_activation(layer.activation()),
+            w: PackedB::pack(store.value(layer.weight())),
+            bias: Some(narrow(store.value(layer.bias()).as_slice())),
+            act: Act::new(layer.activation()),
         }
     }
 
-    /// Forward an `m×d_in` row-major batch.
-    fn forward(&self, x: &[f32], m: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * self.d_out];
-        if self.d_out == 0 {
-            return out;
-        }
-        gemm32(x, self.d_in, &self.w, self.d_out, &mut out);
-        for orow in out.chunks_exact_mut(self.d_out) {
-            for (o, &bias) in orow.iter_mut().zip(&self.b) {
-                *o = self.act.apply(*o + bias);
+    /// Forward `m` contiguous rows.
+    fn forward(&self, x: &[T], m: usize) -> Vec<T> {
+        check_rows(x, m, self.w.rows());
+        let n = self.w.cols();
+        let mut out = vec![T::ZERO; m * n];
+        gemm(x, &self.w, &mut out);
+        // The tape's order: the kernel's `0.0 + Σ`, then bias, then act.
+        for row in out.chunks_exact_mut(n.max(1)) {
+            match &self.bias {
+                Some(bias) => {
+                    (row.iter_mut().zip(bias)).for_each(|(o, &b)| *o = self.act.apply(*o + b))
+                }
+                None => row.iter_mut().for_each(|o| *o = self.act.apply(*o)),
             }
         }
         out
     }
 }
 
-/// The representation output layer in `f32`.
-#[derive(Debug, Clone)]
-enum OutF32 {
-    /// Cosine-normalized output: `act(row_l2_normalize(x) · Ŵ)` where `Ŵ`
-    /// is the column-L2-normalized weight matrix, precomputed in `f32` at
-    /// compile time (it does not depend on the input).
-    Cosine {
-        /// `d_in×d_out` column-normalized weights, row-major.
-        w: Vec<f32>,
-        d_in: usize,
-        d_out: usize,
-        act: ActF32,
-    },
-    /// Plain dense output (the no-cosine ablation variant).
-    Plain(DenseF32),
+/// Forward `m` contiguous rows through `layers` (borrowing `x` back when
+/// there are none).
+fn forward_all<'a, T: PlanFloat>(layers: &[Layer<T>], x: &'a [T], m: usize) -> Cow<'a, [T]> {
+    let mut h = Cow::Borrowed(x);
+    for layer in layers {
+        h = Cow::Owned(layer.forward(&h, m));
+    }
+    h
 }
 
-impl OutF32 {
-    fn forward(&self, x: &[f32], m: usize) -> Vec<f32> {
-        match self {
-            OutF32::Plain(dense) => dense.forward(x, m),
-            OutF32::Cosine {
-                w,
-                d_in,
-                d_out,
-                act,
-            } => {
-                // Row-normalize a scratch copy of the input (invariant:
-                // `d_in >= 1` — the engine builder rejects a zero
-                // covariate dimension, and every layer has >= 1 unit).
-                let mut xn = x.to_vec();
-                for row in xn.chunks_exact_mut(*d_in) {
-                    let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
-                    if norm > NORM_EPS_F32 {
-                        for v in row.iter_mut() {
-                            *v /= norm;
-                        }
-                    } else {
-                        for v in row.iter_mut() {
-                            *v = 0.0;
-                        }
-                    }
-                }
-                let mut out = vec![0.0f32; m * d_out];
-                gemm32(&xn, *d_in, w, *d_out, &mut out);
-                for v in out.iter_mut() {
-                    *v = act.apply(*v);
-                }
-                out
-            }
+/// A one-unit output layer `act(x·w + b)`: one fused multiply-add chain
+/// per row, rounded as the kernel rounds a one-column product.
+#[derive(Debug, Clone)]
+struct Unit<T> {
+    w: Vec<T>,
+    b: T,
+    act: Act<T>,
+}
+
+impl<T: PlanFloat> Unit<T> {
+    fn new(store: &ParamStore, layer: &Dense) -> Self {
+        Self {
+            // The head predicts one outcome: column 0 of its output layer.
+            w: narrow(&store.value(layer.weight()).col(0)),
+            // panic-ok: a head's output layer has one unit; restore's smoke
+            // probe turns a hand-edited one without any into a typed error.
+            b: T::from_f64(store.value(layer.bias())[(0, 0)]),
+            act: Act::new(layer.activation()),
         }
+    }
+
+    /// Forward `m` contiguous rows.
+    fn forward(&self, x: &[T], m: usize) -> Vec<T> {
+        check_rows(x, m, self.w.len());
+        let rows = x.chunks_exact(self.w.len().max(1));
+        rows.map(|row| self.act.apply(kernel_dot(row, &self.w) + self.b))
+            .collect()
     }
 }
 
-fn narrow(values: &[f64]) -> Vec<f32> {
-    values.iter().map(|&v| v as f32).collect()
-}
+/// `(μ, σ, clip)` of `clamp((x−μ)/σ)`.
+type Standardize<T> = (Vec<T>, Vec<T>, Option<(T, T)>);
 
-fn compile_mlp(store: &ParamStore, mlp: &Mlp) -> Vec<DenseF32> {
-    mlp.layers()
-        .iter()
-        .map(|layer| DenseF32::compile(store, layer))
-        .collect()
-}
+/// One outcome head's hidden layers (after the fused first one) and its
+/// output unit.
+type Head<T> = (Vec<Layer<T>>, Unit<T>);
 
-/// Precompiled single-precision inference plan for one trained model.
-///
-/// Compiled once per published engine version (weights are frozen at
-/// publish), then shared read-only by every request thread. See the
-/// [module docs](self) for what the plan promises — and does not — about
-/// agreement with the `f64` path.
+/// The compiled forward pass of one model version (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
-pub(crate) struct F32Plan {
+pub(crate) struct InferencePlan<T> {
     d_in: usize,
-    /// Standardizer in `f32`: `(x−μ)/σ` then the symmetric z-clip.
-    means: Vec<f32>,
-    stds: Vec<f32>,
-    clip: Option<f32>,
-    hidden: Vec<DenseF32>,
-    out: OutF32,
-    h0: Vec<DenseF32>,
-    h1: Vec<DenseF32>,
-    /// Outcome rescale `y·sd + mean`, applied in `f32` before widening.
-    y_mean: f32,
-    y_sd: f32,
+    /// `None` when the caller passes inputs it already standardized.
+    standardize: Option<Standardize<T>>,
+    hidden: Vec<Layer<T>>,
+    /// Whether `out` is the cosine layer, whose input rows are L2-normalized.
+    cosine: bool,
+    out: Layer<T>,
+    /// Both heads' first hidden layers as one GEMM over `[W₀ | W₁]`, with
+    /// `h₀`'s units in the first `usize` columns.
+    fused: Option<(Layer<T>, usize)>,
+    heads: [Head<T>; 2],
+    /// `(σ, μ)` of `y·σ + μ`; `None` leaves outcomes in the scaled space.
+    rescale: Option<(T, T)>,
 }
 
-impl F32Plan {
-    /// Narrow a trained model into a single-precision plan.
-    ///
-    /// Fails with [`CerlError::NotTrained`] before the first observed
-    /// domain (no fitted standardizer / outcome scaler exists yet).
+impl<T: PlanFloat> InferencePlan<T> {
+    /// The serving pipeline of a trained model: raw covariates in,
+    /// outcomes on the original scale out. Fails with
+    /// [`CerlError::NotTrained`] before the first observed domain.
     pub(crate) fn compile(model: &CfrModel) -> Result<Self, CerlError> {
-        let x_std: &Standardizer = model.x_std().ok_or(CerlError::NotTrained)?;
+        let x_std = model.x_std().ok_or(CerlError::NotTrained)?;
         let y_scale = model.y_scale().ok_or(CerlError::NotTrained)?;
-        let store = model.store();
-        let repr = model.repr();
+        let clip = x_std.clip().map(|c| (T::from_f64(-c), T::from_f64(c)));
+        Ok(Self {
+            d_in: model.d_in(),
+            standardize: Some((narrow(x_std.means()), narrow(x_std.stds()), clip)),
+            rescale: Some((T::from_f64(y_scale.sd()), T::from_f64(y_scale.mean()))),
+            ..Self::network(model.store(), model.repr(), model.heads())
+        })
+    }
 
+    /// `g` and `h` alone, over any parameter store: standardized
+    /// covariates in, scaled outcomes out. For the training side, which
+    /// evaluates the live (or the previous stage's) store.
+    pub(crate) fn network(store: &ParamStore, repr: &ReprNet, heads: &OutcomeHeads) -> Self {
         let out = match (repr.out_cosine(), repr.out_plain()) {
             (Some(cosine), _) => {
                 let w = store.value(cosine.weight());
-                let (d_in, d_out) = w.shape();
-                let mut w32 = narrow(w.as_slice());
-                // Column L2 norms in f32, rows ascending — fixed order,
-                // computed once (input-independent).
-                for j in 0..d_out {
-                    let mut sum = 0.0f32;
-                    for row in w32.chunks_exact(d_out) {
-                        // panic-ok: j < d_out == row.len() by chunking.
-                        let v = row[j];
-                        sum += v * v;
-                    }
-                    let norm = sum.sqrt();
-                    for row in w32.chunks_exact_mut(d_out) {
-                        // panic-ok: j < d_out == row.len() by chunking.
-                        let v = &mut row[j];
-                        if norm > NORM_EPS_F32 {
-                            *v /= norm;
-                        } else {
-                            *v = 0.0;
-                        }
+                let n = w.cols().max(1);
+                let mut wn: Vec<T> = narrow(w.as_slice());
+                // Column norms in `Graph::col_l2_normalize` order: squares
+                // summed down the rows, then one square root per column.
+                let mut norms = vec![T::ZERO; n];
+                for row in wn.chunks_exact(n) {
+                    norms.iter_mut().zip(row).for_each(|(s, &v)| *s += v * v);
+                }
+                let norms: Vec<T> = norms.into_iter().map(T::sqrt).collect();
+                let eps = T::from_f64(NORM_EPS);
+                for row in wn.chunks_exact_mut(n) {
+                    for (v, &s) in row.iter_mut().zip(&norms) {
+                        *v = if s > eps { *v / s } else { T::ZERO };
                     }
                 }
-                OutF32::Cosine {
-                    w: w32,
-                    d_in,
-                    d_out,
-                    act: ActF32::from_activation(cosine.activation()),
+                // Widening to f64 and narrowing back is exact.
+                let wn = wn.into_iter().map(T::to_f64).collect();
+                Layer {
+                    w: PackedB::pack(&Matrix::from_vec(w.rows(), w.cols(), wn)),
+                    bias: None,
+                    act: Act::new(cosine.activation()),
                 }
             }
-            (None, Some(plain)) => OutF32::Plain(DenseF32::compile(store, plain)),
+            (None, Some(plain)) => Layer::dense(store, plain),
             // Construction always installs exactly one output layer and
             // the snapshot validator enforces it on restore.
             // panic-ok: unreachable by the invariant above.
             (None, None) => unreachable!("ReprNet without an output layer"),
         };
-
-        Ok(Self {
-            d_in: model.d_in(),
-            means: narrow(x_std.means()),
-            stds: narrow(x_std.stds()),
-            clip: x_std.clip().map(|c| c as f32),
-            hidden: repr
-                .hidden()
-                .iter()
-                .map(|l| DenseF32::compile(store, l))
-                .collect(),
+        let hidden: Vec<Layer<T>> = repr
+            .hidden()
+            .iter()
+            .map(|l| Layer::dense(store, l))
+            .collect();
+        let [(hid0, out0), (hid1, out1)] = [heads.h0(), heads.h1()].map(|mlp| {
+            match mlp.layers().split_last() {
+                Some((out, hidden)) => (hidden, out),
+                // panic-ok: unreachable — an Mlp has at least one layer.
+                None => unreachable!("outcome head without layers"),
+            }
+        });
+        // Fuse the first hidden layers when both heads have one and they
+        // share an activation (always, short of a hand-edited snapshot).
+        let fused = match (hid0.first(), hid1.first()) {
+            (Some(a), Some(b)) if a.activation() == b.activation() => {
+                let (wa, wb) = (store.value(a.weight()), store.value(b.weight()));
+                let bias = store.value(a.bias()).hstack(store.value(b.bias()));
+                let layer = Layer {
+                    w: PackedB::pack(&wa.hstack(wb)),
+                    bias: Some(narrow(bias.as_slice())),
+                    act: Act::new(a.activation()),
+                };
+                Some((layer, wa.cols()))
+            }
+            _ => None,
+        };
+        let skip = usize::from(fused.is_some());
+        let head = |hid: &[Dense], out: &Dense| -> Head<T> {
+            let layers = hid.iter().skip(skip).map(|l| Layer::dense(store, l));
+            (layers.collect(), Unit::new(store, out))
+        };
+        Self {
+            d_in: hidden.first().unwrap_or(&out).w.rows(),
+            standardize: None,
+            hidden,
+            cosine: repr.out_cosine().is_some(),
             out,
-            h0: compile_mlp(store, model.heads().h0()),
-            h1: compile_mlp(store, model.heads().h1()),
-            y_mean: y_scale.mean() as f32,
-            y_sd: y_scale.sd() as f32,
-        })
+            fused,
+            heads: [head(hid0, out0), head(hid1, out1)],
+            rescale: None,
+        }
     }
 
-    /// Predict both potential outcomes `(ŷ₀, ŷ₁)` in `f32`, widened to
-    /// `f64` at the boundary. Row-independent (module docs).
-    pub(crate) fn predict_potential_outcomes(
-        &self,
-        x: &Matrix,
-    ) -> Result<(Vec<f64>, Vec<f64>), CerlError> {
-        if x.cols() != self.d_in {
+    /// Representations `g(x)` in the plan's element type.
+    fn represent(&self, x: &Matrix) -> Result<Vec<T>, CerlError> {
+        let (d, m) = (self.d_in, x.rows());
+        if x.cols() != d {
             return Err(CerlError::DimensionMismatch {
-                expected: self.d_in,
+                expected: d,
                 found: x.cols(),
             });
         }
-        let m = x.rows();
-        if m == 0 {
-            return Ok((Vec::new(), Vec::new()));
-        }
-
-        // Narrow + standardize + clip, all in f32.
-        let mut h = Vec::with_capacity(m * self.d_in);
-        for i in 0..m {
-            for ((&v, &mu), &sd) in x.row(i).iter().zip(&self.means).zip(&self.stds) {
-                let mut z = (v as f32 - mu) / sd;
-                if let Some(c) = self.clip {
-                    z = z.clamp(-c, c);
+        let mut h: Vec<T> = narrow(x.as_slice());
+        if let Some((means, stds, clip)) = &self.standardize {
+            for row in h.chunks_exact_mut(d) {
+                for ((v, &mu), &sd) in row.iter_mut().zip(means).zip(stds) {
+                    let z = (*v - mu) / sd;
+                    *v = clip.map_or(z, |(lo, hi)| z.clamp(lo, hi));
                 }
-                h.push(z);
             }
         }
-
-        for layer in &self.hidden {
-            h = layer.forward(&h, m);
+        let mut h = forward_all(&self.hidden, &h, m).into_owned();
+        if self.cosine {
+            let eps = T::from_f64(NORM_EPS);
+            for row in h.chunks_exact_mut(self.out.w.rows().max(1)) {
+                let norm = T::l2_norm(row);
+                for v in row.iter_mut() {
+                    *v = if norm > eps { *v / norm } else { T::ZERO };
+                }
+            }
         }
-        let r = self.out.forward(&h, m);
-
-        let y0 = Self::head_forward(&self.h0, &r, m);
-        let y1 = Self::head_forward(&self.h1, &r, m);
-        let widen = |y: Vec<f32>| -> Vec<f64> {
-            y.into_iter()
-                .map(|v| f64::from(fma32(v, self.y_sd, self.y_mean)))
-                .collect()
-        };
-        Ok((widen(y0), widen(y1)))
+        Ok(self.out.forward(&h, m))
     }
 
-    /// Predicted individual treatment effects `ŷ₁ − ŷ₀` (widened `f64`).
-    pub(crate) fn predict_ite(&self, x: &Matrix) -> Result<Vec<f64>, CerlError> {
+    /// Both heads over `m` representation rows, rescaled and widened.
+    fn outcomes(&self, r: &[T], m: usize) -> (Vec<f64>, Vec<f64>) {
+        let split = self.fused.as_ref().map(|(layer, split)| {
+            // The fused activations, split into each head's columns.
+            let z = layer.forward(r, m);
+            let (mut z0, mut z1) = (Vec::new(), Vec::new());
+            for row in z.chunks_exact(layer.w.cols().max(1)) {
+                let (a, b) = row.split_at(*split);
+                z0.extend_from_slice(a);
+                z1.extend_from_slice(b);
+            }
+            [z0, z1]
+        });
+        let [in0, in1] = match &split {
+            Some([z0, z1]) => [z0.as_slice(), z1.as_slice()],
+            None => [r, r],
+        };
+        let [(hid0, unit0), (hid1, unit1)] = &self.heads;
+        let y0 = unit0.forward(&forward_all(hid0, in0, m), m);
+        let y1 = unit1.forward(&forward_all(hid1, in1, m), m);
+        let rescale = |v: T| self.rescale.map_or(v, |(sd, mean)| v * sd + mean);
+        let widen =
+            |y: Vec<T>| -> Vec<f64> { y.into_iter().map(|v| rescale(v).to_f64()).collect() };
+        (widen(y0), widen(y1))
+    }
+
+    /// The heads alone on given representations (the training side's
+    /// φ-mapped memory).
+    pub(crate) fn heads(&self, r: &Matrix) -> (Vec<f64>, Vec<f64>) {
+        self.outcomes(&narrow(r.as_slice()), r.rows())
+    }
+}
+
+/// What an engine serves from its compiled plan, whichever the precision.
+pub(crate) trait Predictor: Send + Sync {
+    /// Representations `g(x)`, widened to `f64`.
+    fn embed(&self, x: &Matrix) -> Result<Matrix, CerlError>;
+
+    /// Both potential outcomes `(ŷ₀, ŷ₁)`, widened to `f64`.
+    fn predict_potential_outcomes(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), CerlError>;
+
+    /// Individual treatment effects `ŷ₁ − ŷ₀`, subtracted in `f64`.
+    fn predict_ite(&self, x: &Matrix) -> Result<Vec<f64>, CerlError> {
         let (y0, y1) = self.predict_potential_outcomes(x)?;
         Ok(y1.iter().zip(&y0).map(|(&a, &b)| a - b).collect())
     }
+}
 
-    /// Run one head MLP over the `m×repr_dim` batch; the final layer has
-    /// one unit, so the result is the `m` scalar outcomes.
-    fn head_forward(layers: &[DenseF32], r: &[f32], m: usize) -> Vec<f32> {
-        let mut h = r.to_vec();
-        for layer in layers {
-            h = layer.forward(&h, m);
-        }
-        h
+impl<T: PlanFloat> Predictor for InferencePlan<T> {
+    fn embed(&self, x: &Matrix) -> Result<Matrix, CerlError> {
+        let r = self.represent(x)?;
+        let values = r.into_iter().map(T::to_f64).collect();
+        Ok(Matrix::from_vec(x.rows(), self.out.w.cols(), values))
     }
+
+    fn predict_potential_outcomes(&self, x: &Matrix) -> Result<(Vec<f64>, Vec<f64>), CerlError> {
+        let r = self.represent(x)?;
+        Ok(self.outcomes(&r, x.rows()))
+    }
+}
+
+/// `model`'s plan in `mode`.
+pub(crate) fn compile(
+    mode: PrecisionMode,
+    model: &CfrModel,
+) -> Result<Arc<dyn Predictor>, CerlError> {
+    Ok(match mode {
+        PrecisionMode::F64 => Arc::new(InferencePlan::<f64>::compile(model)?),
+        PrecisionMode::F32 => Arc::new(InferencePlan::<f32>::compile(model)?),
+    })
+}
+
+/// Column 0 of `mlp(x)` on compiled `f64` layers: the S- and T-learner
+/// baselines' regressors, bitwise equal to their tape forward.
+pub(crate) fn mlp_output(store: &ParamStore, mlp: &Mlp, x: &Matrix) -> Vec<f64> {
+    let layers: Vec<Layer<f64>> = mlp
+        .layers()
+        .iter()
+        .map(|l| Layer::dense(store, l))
+        .collect();
+    let h = forward_all(&layers, x.as_slice(), x.rows());
+    let width = layers.last().map_or(x.cols(), |l| l.w.cols());
+    h.chunks(width.max(1))
+        .map(|row| row.first().copied().unwrap_or(0.0))
+        .collect()
 }
 
 #[cfg(test)]
@@ -435,35 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm32_matches_reference_and_is_row_independent() {
-        // 3×4 times 4×2, reference computed per element.
-        let a: Vec<f32> = (0..12).map(|i| i as f32 * 0.5 - 2.0).collect();
-        let b: Vec<f32> = (0..8).map(|i| 1.0 - i as f32 * 0.25).collect();
-        let mut full = vec![0.0f32; 6];
-        gemm32(&a, 4, &b, 2, &mut full);
-        for i in 0..3 {
-            let mut row = vec![0.0f32; 2];
-            gemm32(&a[i * 4..(i + 1) * 4], 4, &b, 2, &mut row);
-            assert_eq!(
-                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                full[i * 2..(i + 1) * 2]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "row {i} depends on its batch"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm32_zero_dims_are_noops() {
-        let mut out = vec![0.0f32; 0];
-        gemm32(&[], 0, &[], 3, &mut out); // k == 0
-        gemm32(&[], 4, &[], 0, &mut out); // n == 0
-    }
-
-    #[test]
-    fn sigmoid32_is_stable_at_extremes() {
+    fn f32_sigmoid_is_stable_at_extremes() {
         assert_eq!(sigmoid32(0.0), 0.5);
         assert!((sigmoid32(100.0) - 1.0).abs() < 1e-6);
         assert!(sigmoid32(-100.0).abs() < 1e-6);
@@ -473,15 +531,15 @@ mod tests {
     #[test]
     fn activations_match_f64_semantics() {
         for &x in &[-2.0f32, -0.5, 0.0, 0.5, 2.0] {
-            assert_eq!(ActF32::Identity.apply(x), x);
-            assert_eq!(ActF32::Relu.apply(x), x.max(0.0));
-            let elu = ActF32::Elu(1.0).apply(x);
+            assert_eq!(Act::Identity.apply(x), x);
+            assert_eq!(Act::<f32>::Relu.apply(x), x.max(0.0));
+            let elu = Act::Elu(1.0f32).apply(x);
             if x > 0.0 {
                 assert_eq!(elu, x);
             } else {
                 assert!((elu - (x.exp() - 1.0)).abs() < 1e-6);
             }
-            assert_eq!(ActF32::Tanh.apply(x), x.tanh());
+            assert_eq!(Act::<f32>::Tanh.apply(x), x.tanh());
         }
     }
 }

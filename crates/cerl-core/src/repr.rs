@@ -9,7 +9,6 @@
 //! the trainers from [`ReprNet::weights`].
 
 use crate::config::NetConfig;
-use cerl_math::Matrix;
 use cerl_nn::{Activation, CosineDense, Dense, Graph, NodeId, ParamId, ParamStore};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -127,15 +126,6 @@ impl ReprNet {
         }
     }
 
-    /// Embed a covariate matrix without tracking gradients (builds a
-    /// throwaway tape).
-    pub fn embed(&self, store: &ParamStore, x: &Matrix) -> Matrix {
-        let mut g = Graph::new();
-        let xin = g.input(x.clone());
-        let r = self.forward(&mut g, store, xin);
-        g.value(r).clone()
-    }
-
     /// All trainable parameters.
     pub fn params(&self) -> Vec<ParamId> {
         let mut p: Vec<ParamId> = self.hidden.iter().flat_map(Dense::params).collect();
@@ -164,8 +154,17 @@ impl ReprNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cerl_math::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `g(x)` on the tape.
+    fn embed(net: &ReprNet, store: &ParamStore, x: &Matrix) -> Matrix {
+        let mut g = Graph::new();
+        let xin = g.input(x.clone());
+        let r = net.forward(&mut g, store, xin);
+        g.value(r).clone()
+    }
 
     fn cfg() -> NetConfig {
         NetConfig {
@@ -184,7 +183,7 @@ mod tests {
         let net = ReprNet::new(&mut store, &mut rng, 10, &cfg(), true, "g");
         assert_eq!(net.out_dim(), 6);
         let x = Matrix::from_fn(7, 10, |i, j| ((i + j) as f64 * 13.7).sin() * 1e3);
-        let r = net.embed(&store, &x);
+        let r = embed(&net, &store, &x);
         assert_eq!(r.shape(), (7, 6));
         // σ(cos(...)) ∈ (0, 1); bounded despite huge inputs.
         assert!(r.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -201,8 +200,8 @@ mod tests {
         // ELU is not positively homogeneous, so representations won't be
         // exactly equal, but they must stay bounded and close in direction.
         let x1000 = x1.scale(1000.0);
-        let r1 = net.embed(&store, &x1);
-        let r1000 = net.embed(&store, &x1000);
+        let r1 = embed(&net, &store, &x1);
+        let r1000 = embed(&net, &store, &x1000);
         assert!(r1000.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!(r1.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
@@ -213,7 +212,7 @@ mod tests {
         let mut store = ParamStore::new();
         let net = ReprNet::new(&mut store, &mut rng, 10, &cfg(), false, "g");
         let x = Matrix::ones(4, 10);
-        let r = net.embed(&store, &x);
+        let r = embed(&net, &store, &x);
         assert_eq!(r.shape(), (4, 6));
         // Weights: 2 hidden + 1 output.
         assert_eq!(net.weights().len(), 3);

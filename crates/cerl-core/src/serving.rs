@@ -712,10 +712,11 @@ impl ServingEngine {
     /// before publishing, exposed so staging paths (a shard rebalance
     /// warming a successor it will not publish until commit) can fail
     /// fast at staging time: an untrained engine or one with internally
-    /// inconsistent parameters returns its typed error (panics along the
-    /// forward path are converted into
-    /// [`SnapshotError::Incompatible`](crate::error::SnapshotError))
-    /// instead of blowing up a serving thread later.
+    /// inconsistent parameters returns its typed error, and a panic along
+    /// the forward path or a non-finite answer (a model poisoned by, say,
+    /// a NaN outcome in its training data) becomes
+    /// [`SnapshotError::Incompatible`](crate::error::SnapshotError)
+    /// instead of reaching readers later.
     pub fn probe_successor(engine: &CerlEngine) -> Result<(), CerlError> {
         Self::probe(engine)
     }
@@ -727,17 +728,19 @@ impl ServingEngine {
         // returns its typed error (or, defensively, panics — convert that
         // into the snapshot-incompatibility error rather than taking down
         // the serving process's writer thread).
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.predict_ite(&probe).map(|_| ())
-        }));
-        match outcome {
-            Ok(result) => result,
-            Err(_) => Err(CerlError::Snapshot(
-                crate::error::SnapshotError::Incompatible(
-                    "successor engine panicked on the warm-up probe batch".into(),
-                ),
-            )),
-        }
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.predict_ite(&probe)));
+        let reason = match outcome {
+            Ok(Ok(ite)) if ite.iter().all(|v| v.is_finite()) => return Ok(()),
+            Ok(Ok(_)) => {
+                "successor engine answered the warm-up probe batch with a non-finite value"
+            }
+            Ok(Err(e)) => return Err(e),
+            Err(_) => "successor engine panicked on the warm-up probe batch",
+        };
+        Err(CerlError::Snapshot(
+            crate::error::SnapshotError::Incompatible(reason.into()),
+        ))
     }
 
     /// Observe the next domain on a private successor of the current
@@ -775,6 +778,10 @@ impl ServingEngine {
     fn publish(&self, engine: CerlEngine) -> u64 {
         let mut guard = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let version = guard.version + 1;
+        // Claim the version's stats slot before readers can pin the
+        // version: a request pinned between the swap and a later claim
+        // would find the slot untagged and lose its per-version count.
+        self.stats.claim_version(version);
         let old = std::mem::replace(&mut *guard, Arc::new(VersionedEngine { engine, version }));
         drop(guard);
         // Park the superseded version until its last pin drops, then
@@ -785,7 +792,6 @@ impl ServingEngine {
             .push(old);
         self.reap_superseded();
         self.stats.swaps.fetch_add(1, Ordering::Relaxed); // ordering: lone monotone counter, no edges
-        self.stats.claim_version(version);
         version
     }
 }

@@ -43,6 +43,7 @@ use crate::continual::Cerl;
 use crate::error::{CerlError, SnapshotError};
 use crate::heads::OutcomeHeads;
 use crate::memory::Memory;
+use crate::precision::{InferencePlan, Predictor};
 use crate::repr::ReprNet;
 use cerl_data::{OutcomeScaler, Standardizer};
 use cerl_nn::{ParamId, ParamStore};
@@ -1020,8 +1021,9 @@ impl ModelSnapshot {
         Ok(())
     }
 
-    /// Rebuild the estimator this snapshot captured.
-    pub(crate) fn into_cerl(self) -> Result<Cerl, CerlError> {
+    /// Rebuild the estimator this snapshot captured, with its compiled
+    /// `f64` inference plan (`None` before the first stage).
+    pub(crate) fn into_cerl(self) -> Result<(Cerl, Option<InferencePlan<f64>>), CerlError> {
         self.validate()?;
         let ModelSnapshot {
             seed,
@@ -1034,27 +1036,28 @@ impl ModelSnapshot {
         let d_in = model.d_in;
         let model = CfrModel::from_state(model, config.clone(), seed);
         let cerl = Cerl::restore(config, model, memory, stage, seed);
+        if cerl.stage() == 0 {
+            return Ok((cerl, None));
+        }
         // Structural id checks cannot see parameter *shapes*; a hostile or
         // corrupted document can wire layers whose matrices do not chain.
-        // Smoke-predict one zero row under catch_unwind and convert any
-        // shape panic into a typed error, so untrusted bytes cannot crash
-        // a serving process on its first real request.
-        if cerl.stage() > 0 {
-            let probe = cerl_math::Matrix::zeros(1, d_in);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cerl.try_predict_ite(&probe).map(|_| ())
-            }));
-            match outcome {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => return Err(e),
-                Err(_) => {
-                    return Err(incompatible(
-                        "snapshot parameters are internally inconsistent (smoke prediction failed)",
-                    ))
-                }
-            }
+        // Compile the plan and smoke-predict one zero row under
+        // catch_unwind, converting any shape panic into a typed error, so
+        // untrusted bytes cannot crash a serving process on its first
+        // real request.
+        let probe = cerl_math::Matrix::zeros(1, d_in);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let plan = InferencePlan::<f64>::compile(cerl.cfr())?;
+            plan.predict_ite(&probe)?;
+            Ok::<_, CerlError>(plan)
+        }));
+        match outcome {
+            Ok(Ok(plan)) => Ok((cerl, Some(plan))),
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err(incompatible(
+                "snapshot parameters are internally inconsistent (smoke prediction failed)",
+            )),
         }
-        Ok(cerl)
     }
 }
 

@@ -1,50 +1,283 @@
 //! Matrix multiplication kernels.
 //!
-//! The workloads in this workspace are dominated by moderately sized GEMMs
-//! (hundreds of rows, hundreds to a few thousand columns). The product
-//! kernel is a cache-blocked microkernel: `B` is packed into contiguous
-//! `KC`×`NR` column panels, and an `MR`×`NR` register tile of
-//! accumulators walks the packed panel with a branch-free inner loop that
-//! LLVM autovectorizes. The parallel path partitions output rows across
-//! `crossbeam::scope` workers over the *same* kernel, and kicks in only
-//! above a FLOP threshold so small multiplies stay allocation- and
+//! Every product in this workspace runs on one cache-blocked microkernel,
+//! [`gemm`]: `B` is packed into contiguous `KC`×[`NR`] column panels
+//! ([`PackedB`]), and an `MR`×[`NR`] register tile of accumulators walks
+//! each panel with a branch-free inner loop. Where the build targets
+//! AVX-512F the `f64` tile is written with 512-bit fused multiply-adds;
+//! everywhere else a portable tile that LLVM autovectorizes is the only
+//! path. [`matmul_serial`] and [`matmul_parallel`] pack `B` per call;
+//! callers that reuse the same weights (the compiled inference plan in
+//! `cerl-core`) pack once and call [`gemm`]. The parallel path partitions
+//! output rows across `crossbeam::scope` workers over the *same* kernel,
+//! and kicks in only above a FLOP threshold so small multiplies stay
 //! thread-free.
 //!
 //! # Determinism contract
 //!
 //! For one element `c[i][j]`, the accumulation order is fixed entirely by
-//! the `KC`/`NR` blocking constants: within each `KC` block of the inner
+//! the `KC` blocking constant: within each `KC` block of the inner
 //! dimension, terms are added in ascending `p` from a fresh accumulator,
-//! and block sums are added to the output in ascending block order. That
-//! order does not depend on how output rows are grouped into `MR` tiles
-//! or partitioned across threads, so [`matmul`], [`matmul_serial`] and
-//! [`matmul_parallel`] return **bitwise-identical** results for any thread
-//! count and any row partition — on finite *and* non-finite inputs (there
-//! are no data-dependent skips: a `0.0 × ∞` contributes the same `NaN` in
-//! every kernel). [`matmul_at_b`] and [`matmul_a_bt`] run the same kernel
-//! on a transposed copy of one operand, so they are bound by the same
-//! contract.
+//! one fused multiply-add each, and block sums are added to the output in
+//! ascending block order. That order does not depend on how rows are
+//! grouped into `MR` tiles, how columns are grouped into [`NR`] panels,
+//! which ISA the tile is written in, or how rows are partitioned across
+//! threads, so [`matmul`], [`matmul_serial`], [`matmul_parallel`] and
+//! [`gemm`] return **bitwise-identical** results — on finite *and*
+//! non-finite inputs (there are no data-dependent skips: a `0.0 × ∞`
+//! contributes the same `NaN` in every kernel). [`matmul_at_b`] and
+//! [`matmul_a_bt`] run the same kernel on a transposed copy of one
+//! operand, and [`kernel_dot`] is its one-column case, so they are bound
+//! by the same contract.
 
 use crate::matrix::Matrix;
+use std::ops::AddAssign;
 use std::sync::OnceLock;
 
 /// FLOP count (2·m·k·n) above which [`matmul`] switches to the parallel kernel.
 const PARALLEL_FLOP_THRESHOLD: usize = 8_000_000;
 
-/// Inner-dimension block: the packed `B` panel holds `KC`×[`NR`] values
-/// (16 KiB) so it lives in L1 while a whole row range streams past it.
+/// Inner-dimension block: a packed block holds `KC`×[`NR`] values (16 or
+/// 32 KiB of `f64`) so it stays in cache while a whole row range streams
+/// past it.
 /// Part of the determinism contract — changing it changes rounding.
 const KC: usize = 256;
 
-/// Register-tile width (columns of `C` per accumulator row). Eight `f64`
-/// lanes give the autovectorizer two 4-wide AVX2 vectors per row.
-const NR: usize = 8;
+/// Register-tile width: columns of `C` per accumulator row. Two 8-lane
+/// `f64` vectors with AVX-512; elsewhere 8, so the portable `MR`×`NR`
+/// accumulators leave registers free on 16-register (AVX2) targets. Does
+/// *not* affect rounding.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "fma"
+))]
+pub const NR: usize = 16;
+/// Register-tile width (see the AVX-512 definition above).
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "fma"
+)))]
+pub const NR: usize = 8;
 
-/// Register-tile height (rows of `C` per microkernel pass). Each packed
-/// `B` load is reused `MR` times; 4×[`NR`] accumulators fit the vector
-/// register file. Row grouping does *not* affect rounding (see module
-/// docs), so `MR` is a pure performance knob.
+/// Register-tile height: rows of `C` per tile, each packed `B` load reused
+/// `MR` times. Does *not* affect rounding, so it is a pure performance knob.
 const MR: usize = 4;
+
+/// Element type the kernel runs on: `f64` for training and serving, `f32`
+/// for single-precision serving.
+pub trait Element: Copy + Send + Sync + AddAssign + 'static {
+    /// Additive identity (`+0.0`).
+    const ZERO: Self;
+
+    /// Convert from `f64` (narrowing for `f32`).
+    fn from_f64(v: f64) -> Self;
+
+    /// `self·b + c`, fused (one `vfmadd`, one rounding) when the target has
+    /// hardware FMA; otherwise a separate multiply-and-add, because
+    /// `mul_add` would be a libm call per element. Every kernel entry
+    /// point goes through this one rule, so they agree bitwise within a
+    /// build whichever way the cfg resolves.
+    fn fma(self, b: Self, c: Self) -> Self;
+
+    /// One `R`×[`NR`] tile over a `KC` block of a packed panel:
+    /// `acc[r][t] = Σ_p a[r][p]·block[p][t]`, ascending `p` from zero.
+    /// Each `a[r]` holds at least `block.len()` values.
+    #[inline(always)]
+    fn tile<const R: usize>(a: [&[Self]; R], block: &[[Self; NR]]) -> [[Self; NR]; R] {
+        portable_tile(a, block)
+    }
+}
+
+macro_rules! element {
+    ($t:ty $(, $avx512_tile:path)?) => {
+        impl Element for $t {
+            const ZERO: Self = 0.0;
+
+            #[inline(always)]
+            fn from_f64(v: f64) -> Self {
+                v as $t
+            }
+
+            #[inline(always)]
+            fn fma(self, b: Self, c: Self) -> Self {
+                #[cfg(target_feature = "fma")]
+                return self.mul_add(b, c);
+                #[cfg(not(target_feature = "fma"))]
+                return self * b + c;
+            }
+
+            $(
+                #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "fma"))]
+                #[inline(always)]
+                fn tile<const R: usize>(a: [&[Self]; R], block: &[[Self; NR]]) -> [[Self; NR]; R] {
+                    // SAFETY: compiled only where the build enables avx512f
+                    // (the cfg above), the tile's one target feature.
+                    unsafe { $avx512_tile(a, block) }
+                }
+            )?
+        }
+    };
+}
+
+element!(f64, avx512::tile);
+element!(f32);
+
+/// The portable register tile: scalar code that LLVM autovectorizes. The
+/// only tile on targets without AVX-512F, and the reference the AVX-512
+/// tile is tested against bit for bit.
+#[inline(always)]
+fn portable_tile<T: Element, const R: usize>(a: [&[T]; R], block: &[[T; NR]]) -> [[T; NR]; R] {
+    // panic-ok: every a[r] holds >= block.len() values (trait contract);
+    // re-slicing to that length lets the compiler drop the inner checks.
+    let a = a.map(|row| &row[..block.len()]);
+    let mut acc = [[T::ZERO; NR]; R];
+    for (p, b) in block.iter().enumerate() {
+        for (acc_r, a_r) in acc.iter_mut().zip(&a) {
+            // panic-ok: p < block.len() == a_r.len().
+            let av = a_r[p];
+            for (c, &bv) in acc_r.iter_mut().zip(b) {
+                *c = av.fma(bv, *c);
+            }
+        }
+    }
+    acc
+}
+
+/// The AVX-512F `f64` tile: two 8-lane accumulators per row. Its body is
+/// safe code — inside a `#[target_feature(enable = "avx512f")]` function
+/// the arithmetic intrinsics are safe — and the only `unsafe` is in the
+/// load/store helpers.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "fma"
+))]
+mod avx512 {
+    use super::NR;
+    use std::arch::x86_64::{
+        __m512d, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
+        _mm512_storeu_pd,
+    };
+
+    // panic-ok: compile-time check that a packed row is two 8-lane vectors.
+    const _: () = assert!(NR == 16);
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(super) fn tile<const R: usize>(a: [&[f64]; R], block: &[[f64; NR]]) -> [[f64; NR]; R] {
+        // panic-ok: every a[r] holds >= block.len() values (trait contract).
+        let a = a.map(|row| &row[..block.len()]);
+        let mut acc = [[_mm512_setzero_pd(); 2]; R];
+        for (p, b) in block.iter().enumerate() {
+            let [lo, hi] = load(b);
+            for ([acc_lo, acc_hi], a_r) in acc.iter_mut().zip(&a) {
+                // panic-ok: p < block.len() == a_r.len().
+                let av = _mm512_set1_pd(a_r[p]);
+                *acc_lo = _mm512_fmadd_pd(av, lo, *acc_lo);
+                *acc_hi = _mm512_fmadd_pd(av, hi, *acc_hi);
+            }
+        }
+        let mut out = [[0.0; NR]; R];
+        for (o, &v) in out.iter_mut().zip(&acc) {
+            store(v, o);
+        }
+        out
+    }
+
+    /// One packed row as two vectors.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(row: &[f64; NR]) -> [__m512d; 2] {
+        // SAFETY: `row` holds NR == 16 values, so both 8-lane reads (at 0
+        // and 8) are in bounds; `loadu` has no alignment requirement.
+        unsafe {
+            [
+                _mm512_loadu_pd(row.as_ptr()),
+                _mm512_loadu_pd(row.as_ptr().add(8)),
+            ]
+        }
+    }
+
+    /// Two vectors written to one row.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn store([lo, hi]: [__m512d; 2], out: &mut [f64; NR]) {
+        // SAFETY: `out` holds NR == 16 values, so both 8-lane writes (at 0
+        // and 8) are in bounds; `storeu` has no alignment requirement.
+        unsafe {
+            _mm512_storeu_pd(out.as_mut_ptr(), lo);
+            _mm512_storeu_pd(out.as_mut_ptr().add(8), hi);
+        }
+    }
+}
+
+/// `B` packed once into the kernel's column panels.
+///
+/// Panel `j` holds columns `j·NR .. j·NR + NR` of `B` as `k` rows of
+/// [`NR`] values (the last panel zero-padded), so every block the tile
+/// walks is one contiguous slice. A caller that multiplies by the same `B`
+/// repeatedly packs it once and calls [`gemm`].
+#[derive(Debug, Clone)]
+pub struct PackedB<T> {
+    k: usize,
+    n: usize,
+    panels: Vec<[T; NR]>,
+}
+
+impl<T: Element> PackedB<T> {
+    /// Pack a `k×n` matrix, converting with [`Element::from_f64`].
+    pub fn pack(b: &Matrix) -> Self {
+        let (k, n) = b.shape();
+        let mut panels = vec![[T::ZERO; NR]; n.div_ceil(NR) * k];
+        for (j, panel) in panels.chunks_exact_mut(k.max(1)).enumerate() {
+            let (jj, nr) = (j * NR, NR.min(n - j * NR));
+            for (dst, row) in panel.iter_mut().zip(b.iter_rows()) {
+                // panic-ok: jj + nr <= n == row.len() by the panel bounds.
+                let src = &row[jj..jj + nr];
+                dst.iter_mut()
+                    .zip(src)
+                    .for_each(|(d, &s)| *d = T::from_f64(s));
+            }
+        }
+        Self { k, n, panels }
+    }
+
+    /// Rows of `B` (the inner dimension).
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of `B`.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+}
+
+/// `out += A·B` on the blocked kernel, `B` prepacked: `a` is row-major
+/// `m×b.rows()` and `out` row-major `m×b.cols()`. Into a zeroed `out`
+/// this writes exactly what [`matmul`] returns.
+///
+/// # Panics
+/// If `a` and `out` do not hold the same number of rows.
+pub fn gemm<T: Element>(a: &[T], b: &PackedB<T>, out: &mut [T]) {
+    let fits = a.len() * b.n == out.len() * b.k && a.len().is_multiple_of(b.k.max(1));
+    // panic-ok: documented API precondition; shape mismatch is a caller bug.
+    assert!(fits, "gemm: A and out do not hold the same number of rows");
+    gemm_rows(a, b, out, 0);
+}
+
+/// `Σ a[p]·b[p]` with the kernel's rounding: bitwise equal to the single
+/// entry of the `1×k · k×1` product. For one-column layers, where a
+/// padded [`NR`]-lane panel would be mostly zeros.
+pub fn kernel_dot<T: Element>(a: &[T], b: &[T]) -> T {
+    let mut out = T::ZERO;
+    for (ab, bb) in a.chunks(KC).zip(b.chunks(KC)) {
+        out += (ab.iter().zip(bb)).fold(T::ZERO, |acc, (&x, &y)| x.fma(y, acc));
+    }
+    out
+}
 
 /// Number of worker threads used by the parallel kernel.
 ///
@@ -96,15 +329,14 @@ pub fn matmul_serial(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         "matmul_serial: inner dimension mismatch"
     );
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    gemm_rows(a.as_slice(), k, b.as_slice(), n, out.as_mut_slice(), 0);
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    gemm(a.as_slice(), &PackedB::pack(b), out.as_mut_slice());
     out
 }
 
-/// Parallel product: partitions output rows across scoped threads, each
-/// running the same blocked microkernel over its contiguous row range.
+/// Parallel product: packs `B` once, then partitions output rows across
+/// scoped threads, each running the same blocked microkernel over its
+/// contiguous row range.
 pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
     // panic-ok: documented API precondition; shape mismatch is a caller bug.
     assert_eq!(
@@ -119,21 +351,20 @@ pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
 /// validated shapes). Separate from [`matmul_parallel`] so tests can pin
 /// arbitrary partition widths and assert bitwise identity.
 fn matmul_partitioned(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let (m, k) = a.shape();
-    let n = b.cols();
+    let (m, n) = (a.rows(), b.cols());
     let mut out = Matrix::zeros(m, n);
     // Zero-width output: nothing to compute, and `chunks_mut(0)` below
     // would panic — the historical `b.cols() == 0` crash.
     if m == 0 || n == 0 {
         return out;
     }
+    let packed = PackedB::pack(b);
     let threads = threads.clamp(1, m);
     if threads == 1 {
-        gemm_rows(a.as_slice(), k, b.as_slice(), n, out.as_mut_slice(), 0);
+        gemm_rows(a.as_slice(), &packed, out.as_mut_slice(), 0);
         return out;
     }
-    let bs = b.as_slice();
-    let as_ = a.as_slice();
+    let (as_, packed) = (a.as_slice(), &packed);
 
     // Partition output rows into contiguous chunks, one per worker. The
     // kernel's rounding does not depend on the partition (module docs).
@@ -142,7 +373,7 @@ fn matmul_partitioned(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     crossbeam::scope(|scope| {
         for (ci, out_chunk) in out_slice.chunks_mut(chunk_rows * n).enumerate() {
             let row0 = ci * chunk_rows;
-            scope.spawn(move |_| gemm_rows(as_, k, bs, n, out_chunk, row0));
+            scope.spawn(move |_| gemm_rows(as_, packed, out_chunk, row0));
         }
     })
     // panic-ok: propagating a worker panic, not originating one.
@@ -150,116 +381,49 @@ fn matmul_partitioned(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     out
 }
 
-/// Blocked microkernel: compute `out_rows` (rows `row0..` of `A·B`, a
-/// contiguous `rows×n` slice) given row-major `A` (`as_`, width `k`) and
-/// `B` (`bs`, width `n`).
+/// Blocked microkernel over output rows `row0..`: `out_rows` is a
+/// contiguous slice of the product, `a` the whole of `A`.
 ///
-/// Loop nest: `jj` over [`NR`]-wide column panels, `kk` over [`KC`]
-/// blocks of the inner dimension. Each `B` panel is packed once into a
-/// contiguous zero-padded buffer and reused for every row in the range;
-/// an [`MR`]×[`NR`] accumulator tile walks it with a branch-free
-/// multiply-add loop. Edge panels are zero-padded: the padding lanes
-/// accumulate garbage that is never written back, keeping the hot loop
-/// free of per-lane branches.
-fn gemm_rows(as_: &[f64], k: usize, bs: &[f64], n: usize, out_rows: &mut [f64], row0: usize) {
-    if n == 0 {
+/// Loop nest: [`NR`]-wide panels outer, `KC` blocks of the inner
+/// dimension next, `MR`-row tiles inside, so each packed block is reused
+/// for every row in the range. Padding lanes of the last panel accumulate
+/// values that are never written back, keeping the tile branch-free.
+fn gemm_rows<T: Element>(a: &[T], b: &PackedB<T>, out_rows: &mut [T], row0: usize) {
+    let (k, n) = (b.k, b.n);
+    if n == 0 || k == 0 {
         return;
     }
     let rows = out_rows.len() / n;
-    // Packed B panel: KC×NR, zero-padded on both edges. 16 KiB of stack.
-    let mut bp = [0.0f64; KC * NR];
-    let mut jj = 0;
-    while jj < n {
-        let nr = NR.min(n - jj);
-        let mut kk = 0;
-        while kk < k {
+    for (j, panel) in b.panels.chunks_exact(k).enumerate() {
+        let (jj, nr) = (j * NR, NR.min(n - j * NR));
+        for kk in (0..k).step_by(KC) {
             let kc = KC.min(k - kk);
-            pack_b_panel(bs, n, kk, kc, jj, nr, &mut bp);
-
+            // panic-ok: kk + kc <= k == panel.len().
+            let block = &panel[kk..kk + kc];
+            // panic-ok: in-bounds by gemm's precondition on A's rows.
+            let a_row = |i: usize| &a[(row0 + i) * k + kk..(row0 + i) * k + kk + kc];
             let mut i = 0;
             while i + MR <= rows {
-                let a_rows: [&[f64]; MR] = std::array::from_fn(|r| {
-                    // panic-ok: row ranges in-bounds — (row0+i+MR-1)*k+kk+kc <= as_.len() by loop bounds.
-                    &as_[(row0 + i + r) * k + kk..(row0 + i + r) * k + kk + kc]
-                });
-                let mut acc = [[0.0f64; NR]; MR];
-                for (p, bpp) in bp.chunks_exact(NR).take(kc).enumerate() {
-                    for r in 0..MR {
-                        // panic-ok: p < kc == a_rows[r].len(); r < MR; const-bounded tiles.
-                        let av = a_rows[r][p];
-                        for t in 0..NR {
-                            // panic-ok: r < MR, t < NR — const-bounded accumulator tile.
-                            acc[r][t] = fma(av, bpp[t], acc[r][t]);
-                        }
-                    }
-                }
-                for r in 0..MR {
-                    // panic-ok: output row slice in-bounds — (i+r)*n+jj+nr <= out_rows.len() by loop bounds.
-                    let orow = &mut out_rows[(i + r) * n + jj..(i + r) * n + jj + nr];
-                    // panic-ok: r < MR — const-bounded accumulator tile.
-                    for (o, &v) in orow.iter_mut().zip(acc[r].iter()) {
-                        *o += v;
-                    }
+                let acc = T::tile::<MR>(std::array::from_fn(|r| a_row(i + r)), block);
+                for (r, acc_r) in acc.iter().enumerate() {
+                    add_into(out_rows, (i + r) * n + jj, nr, acc_r);
                 }
                 i += MR;
             }
-            while i < rows {
-                // panic-ok: row range in-bounds — (row0+i)*k+kk+kc <= as_.len() by loop bounds.
-                let arow = &as_[(row0 + i) * k + kk..(row0 + i) * k + kk + kc];
-                let mut acc = [0.0f64; NR];
-                for (&av, bpp) in arow.iter().zip(bp.chunks_exact(NR)) {
-                    for t in 0..NR {
-                        // panic-ok: t < NR — const-bounded accumulator tile.
-                        acc[t] = fma(av, bpp[t], acc[t]);
-                    }
-                }
-                // panic-ok: output row slice in-bounds — i*n+jj+nr <= out_rows.len() by loop bounds.
-                let orow = &mut out_rows[i * n + jj..i * n + jj + nr];
-                for (o, &v) in orow.iter_mut().zip(acc.iter()) {
-                    *o += v;
-                }
-                i += 1;
+            for i in i..rows {
+                let [acc] = T::tile([a_row(i)], block);
+                add_into(out_rows, i * n + jj, nr, &acc);
             }
-            kk += KC;
         }
-        jj += NR;
     }
 }
 
-/// Fused multiply-add `a·b + c` when the target has hardware FMA, plain
-/// multiply-add otherwise.
-///
-/// Compile-time selection: with the `fma` target feature, `mul_add`
-/// lowers to one `vfmadd` instruction (one rounding, twice the FLOP
-/// density); without it, `mul_add` would fall back to a libm call per
-/// element, so the separate multiply-and-add is kept. Every product
-/// kernel goes through this one helper, so serial/parallel/auto stay
-/// bitwise-identical *within* a build whichever way the cfg resolves.
+/// `out[start..start + nr] += acc[..nr]`: one block sum written back.
 #[inline(always)]
-fn fma(a: f64, b: f64, c: f64) -> f64 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, c)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        a * b + c
-    }
-}
-
-/// Pack `B[kk..kk+kc, jj..jj+nr]` into `bp` as `kc` contiguous rows of
-/// [`NR`], zero-padding columns `nr..NR` so the microkernel never
-/// branches on the panel edge.
-#[inline]
-fn pack_b_panel(bs: &[f64], n: usize, kk: usize, kc: usize, jj: usize, nr: usize, bp: &mut [f64]) {
-    for (p, dst) in bp.chunks_exact_mut(NR).take(kc).enumerate() {
-        // panic-ok: source row slice in-bounds — (kk+p)*n+jj+nr <= bs.len() by caller's loop bounds.
-        let src = &bs[(kk + p) * n + jj..(kk + p) * n + jj + nr];
-        // panic-ok: nr <= NR == dst.len() by construction.
-        dst[..nr].copy_from_slice(src);
-        for d in dst.iter_mut().skip(nr) {
-            *d = 0.0;
-        }
+fn add_into<T: Element>(out: &mut [T], start: usize, nr: usize, acc: &[T; NR]) {
+    // panic-ok: start + nr <= out.len() by the caller's loop bounds.
+    for (o, &v) in out[start..start + nr].iter_mut().zip(acc) {
+        *o += v;
     }
 }
 
@@ -610,7 +774,7 @@ mod tests {
         let naive_fma = || {
             let (asl, bsl) = (a.as_slice(), b.as_slice());
             Matrix::from_fn(dim, dim, |i, j| {
-                (0..dim).fold(0.0, |acc, p| fma(asl[i * dim + p], bsl[p * dim + j], acc))
+                (0..dim).fold(0.0, |acc, p| asl[i * dim + p].fma(bsl[p * dim + j], acc))
             })
         };
         // Best of five after a warm-up: the floor compares kernels, not
@@ -640,6 +804,88 @@ mod tests {
             "parallel vs serial"
         );
         assert!(bits_eq(&matmul(&a, &b), &c_serial), "dispatch vs serial");
+    }
+
+    #[test]
+    fn prepacked_gemm_matches_matmul_on_reuse() {
+        // One packed B, reused across calls and row counts, writes exactly
+        // what matmul returns.
+        for &(m, k, n) in &[(1, 3, 1), (7, 2 * KC + 5, 2 * NR + 3), (MR * 3 + 2, 40, NR)] {
+            let b = pseudo_random_matrix(k, n, (k + n) as u64);
+            let packed = PackedB::pack(&b);
+            for rows in [m, m + 1] {
+                let a = pseudo_random_matrix(rows, k, (rows * k + n) as u64);
+                let mut out = vec![0.0; rows * n];
+                gemm(a.as_slice(), &packed, &mut out);
+                let got = Matrix::from_vec(rows, n, out);
+                assert!(bits_eq(&got, &matmul(&a, &b)), "({rows},{k},{n})");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_dot_matches_one_column_product() {
+        for k in [0, 1, 7, KC, KC + 1, 2 * KC + 3] {
+            let a = pseudo_random_matrix(1, k, 60 + k as u64);
+            let b = pseudo_random_matrix(k, 1, 61 + k as u64);
+            let dot = kernel_dot(a.as_slice(), b.as_slice());
+            assert_eq!(dot.to_bits(), matmul(&a, &b)[(0, 0)].to_bits(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn f32_gemm_matches_a_scalar_fma_loop() {
+        // Single KC block: the kernel's order is one ascending fma chain.
+        let (m, k, n) = (9, 37, 21);
+        let a64 = pseudo_random_matrix(m, k, 70);
+        let b = pseudo_random_matrix(k, n, 71);
+        let a: Vec<f32> = a64.as_slice().iter().map(|&v| v as f32).collect();
+        let mut out = vec![0.0f32; m * n];
+        gemm(&a, &PackedB::<f32>::pack(&b), &mut out);
+        for i in 0..m {
+            for j in 0..n {
+                let want = (0..k).fold(0.0f32, |acc, p| a[i * k + p].fma(b[(p, j)] as f32, acc));
+                assert_eq!(out[i * n + j].to_bits(), (0.0f32 + want).to_bits());
+            }
+        }
+    }
+
+    /// The AVX-512 tile is an instruction-level rewrite of the portable
+    /// one: the same fused multiply-add per term in the same order, so
+    /// every bit agrees, specials included.
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "fma"
+    ))]
+    #[test]
+    fn avx512_tile_matches_portable_tile_bitwise() {
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 0.0, 1e300];
+        for case in 0..48u64 {
+            let kc = 1 + (case as usize * 37) % KC;
+            let a = pseudo_random_matrix(MR, kc, 80 + case);
+            let mut b = pseudo_random_matrix(kc, NR, 90 + case);
+            if case % 3 == 0 {
+                b.as_mut_slice()[(case as usize * 13) % (kc * NR)] =
+                    specials[case as usize % specials.len()];
+            }
+            let packed = PackedB::<f64>::pack(&b);
+            let block = &packed.panels[..kc];
+            let rows: [&[f64]; MR] = std::array::from_fn(|r| a.row(r));
+            let bits =
+                |t: &[[f64; NR]]| t.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&f64::tile(rows, block)),
+                bits(&portable_tile(rows, block)),
+                "case {case}"
+            );
+            let one = [rows[1]];
+            assert_eq!(
+                bits(&f64::tile(one, block)),
+                bits(&portable_tile(one, block)),
+                "case {case}, one row"
+            );
+        }
     }
 
     #[test]

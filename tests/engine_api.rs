@@ -413,3 +413,49 @@ fn truncated_snapshots_fail_closed() {
         );
     }
 }
+
+// ---- warm publication refuses poisoned models ------------------------------
+
+/// A NaN outcome in a domain's training data makes the fitted outcome
+/// scaler NaN, and with it every prediction of the model trained on it.
+/// Such a snapshot still parses and restores; the warm probe is what must
+/// keep it from being published.
+#[test]
+fn warm_swap_refuses_a_snapshot_that_answers_nan() {
+    let stream = quick_stream(1, 21);
+    let mut engine = CerlEngineBuilder::new(quick_cfg())
+        .seed(21)
+        .build()
+        .unwrap();
+    engine
+        .observe(&stream.domain(0).train, &stream.domain(0).val)
+        .unwrap();
+    let serving = ServingEngine::new(engine.clone());
+    let x = &stream.domain(0).test.x;
+    let before = serving.predict_ite(x).unwrap();
+
+    let text = String::from_utf8(engine.save_bytes().unwrap()).unwrap();
+    let start = text
+        .find(r#""y_scale":{"#)
+        .expect("trained snapshots carry a scaler")
+        + 11;
+    let end = start + text[start..].find('}').unwrap();
+    let poisoned = format!(
+        r#"{}"mean":"NaN","sd":"NaN"{}"#,
+        &text[..start],
+        &text[end..]
+    );
+    let restored = CerlEngine::load_bytes(poisoned.as_bytes()).expect("still a valid document");
+    assert!(restored.predict_ite(x).unwrap().iter().all(|v| v.is_nan()));
+
+    match serving.swap_snapshot_bytes_warm(poisoned.as_bytes()) {
+        Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
+            assert!(reason.contains("non-finite"), "{reason}");
+        }
+        other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(serving.version(), 1, "nothing was published");
+    let after = serving.predict_ite(x).unwrap();
+    assert!(after.iter().all(|v| v.is_finite()));
+    assert_eq!(after, before);
+}

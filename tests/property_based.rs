@@ -1,11 +1,17 @@
 //! Property-based tests (proptest) on cross-crate invariants.
 
+use cerl::core::config::ActivationKind;
+use cerl::core::heads::OutcomeHeads;
+use cerl::core::repr::ReprNet;
+use cerl::data::{OutcomeScaler, Standardizer};
 use cerl::math::correlation::{hub_first_column, hub_toeplitz, toeplitz};
 use cerl::math::stats::quantile;
 use cerl::math::Matrix;
 use cerl::nn::{Graph, ParamStore};
 use cerl::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -40,6 +46,80 @@ fn snapshot_fixture() -> &'static (CerlEngine, CerlEngine, usize) {
         let restored = CerlEngine::load_bytes(&bytes).expect("own bytes load");
         (engine, restored, d_in)
     })
+}
+
+/// Tape-side forward of one model: representations, then `(ŷ₀, ŷ₁)`.
+type Reference = Box<dyn Fn(&Matrix) -> (Matrix, Vec<f64>, Vec<f64>)>;
+
+/// A random trained-looking model, served from its compiled plan by an
+/// engine restored from a hand-built snapshot document, plus the tape
+/// forward of the same weights.
+fn plan_and_tape(
+    seed: u64,
+    cosine: bool,
+    depth: usize,
+    wide: bool,
+    act: usize,
+) -> (CerlEngine, Reference) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let d_in = if wide {
+        rng.gen_range(257..600)
+    } else {
+        rng.gen_range(1..40)
+    };
+    let mut width = || rng.gen_range(1..40);
+    let mut cfg = CerlConfig::quick_test();
+    cfg.ablation.cosine_norm = cosine;
+    cfg.net.repr_hidden = (0..depth).map(|_| width()).collect();
+    cfg.net.repr_dim = width();
+    cfg.net.head_hidden = (0..depth - 1).map(|_| width()).collect();
+    cfg.net.activation = [
+        ActivationKind::Identity,
+        ActivationKind::Relu,
+        ActivationKind::Elu,
+        ActivationKind::Sigmoid,
+        ActivationKind::Tanh,
+    ][act];
+
+    let mut store = ParamStore::new();
+    let repr = ReprNet::new(&mut store, &mut rng, d_in, &cfg.net, cosine, "g");
+    let heads = OutcomeHeads::new(&mut store, &mut rng, cfg.net.repr_dim, &cfg.net, "h");
+    for id in store.ids() {
+        for v in store.value_mut(id).as_mut_slice() {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+    }
+    let fit = Matrix::from_fn(50, d_in, |_, j| {
+        rng.gen_range(-2.0..2.0) * (1 + j % 5) as f64
+    });
+    let x_std = Standardizer::try_fit_clipped(&fit, 8.0).expect("non-empty fit");
+    let y: Vec<f64> = (0..50).map(|_| rng.gen_range(-10.0..30.0)).collect();
+    let y_scale = OutcomeScaler::try_fit(&y).expect("non-empty fit");
+
+    let json = |v: Result<String, serde_json::Error>| v.expect("serializes");
+    let doc = format!(
+        r#"{{"format_version":{},"seed":{seed},"stage":1,"config":{},"shard_map":null,"shard_index":null,"model":{{"store":{},"repr":{},"heads":{},"x_std":{},"y_scale":{},"d_in":{d_in},"stages_trained":1}},"memory":null}}"#,
+        SNAPSHOT_FORMAT_VERSION,
+        json(serde_json::to_string(&cfg)),
+        json(serde_json::to_string(&store)),
+        json(serde_json::to_string(&repr)),
+        json(serde_json::to_string(&heads)),
+        json(serde_json::to_string(&x_std)),
+        json(serde_json::to_string(&y_scale)),
+    );
+    let engine = CerlEngine::load_bytes(doc.as_bytes()).expect("hand-built snapshot loads");
+    let reference = move |x: &Matrix| {
+        let mut g = Graph::new();
+        let xin = g.input(x_std.try_transform(x).expect("right width"));
+        let r = repr.forward(&mut g, &store, xin);
+        let (y0, y1) = heads.forward_both(&mut g, &store, r);
+        (
+            g.value(r).clone(),
+            y_scale.inverse(&g.value(y0).col(0)),
+            y_scale.inverse(&g.value(y1).col(0)),
+        )
+    };
+    (engine, Box::new(reference))
 }
 
 proptest! {
@@ -228,6 +308,44 @@ proptest! {
             }
             other => prop_assert!(false, "expected UnsupportedVersion, got {:?}", other.map(|_| ())),
         }
+    }
+
+    /// The compiled inference plan against its reference, the training
+    /// forward on the tape (`ReprNet::forward` + `OutcomeHeads::forward_both`,
+    /// then the outcome rescale), bit for bit. Random models cover cosine
+    /// and plain output layers, 1–3 hidden layers, every activation,
+    /// widths off the kernel's 16-column panels, inputs wider than one
+    /// 256-deep kernel block, 0–37 rows and covariates of extreme
+    /// magnitude.
+    #[test]
+    fn compiled_plan_is_bitwise_equal_to_the_tape_forward(
+        seed in any::<u64>(),
+        cosine in any::<bool>(),
+        depth in 1usize..4,
+        wide in any::<bool>(),
+        rows in 0usize..38,
+        act in 0usize..5,
+    ) {
+        let (engine, reference) = plan_and_tape(seed, cosine, depth, wide, act);
+        let d_in = engine.covariate_dim().expect("restored engines know their width");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let extremes = [1e300, -1e300, 1e-300, -0.0, 0.0, 1e12, -7.5];
+        let x = Matrix::from_fn(rows, d_in, |_, _| {
+            if rng.gen_bool(0.2) {
+                extremes[rng.gen_range(0..extremes.len())]
+            } else {
+                rng.gen_range(-3.0..3.0)
+            }
+        });
+        let (r_want, y0_want, y1_want) = reference(&x);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let r = engine.embed(&x).expect("embeds");
+        prop_assert_eq!(bits(r.as_slice()), bits(r_want.as_slice()));
+        let (y0, y1) = engine.predict_potential_outcomes(&x).expect("predicts");
+        prop_assert_eq!(bits(&y0), bits(&y0_want));
+        prop_assert_eq!(bits(&y1), bits(&y1_want));
+        let ite: Vec<f64> = y1_want.iter().zip(&y0_want).map(|(a, b)| a - b).collect();
+        prop_assert_eq!(bits(&engine.predict_ite(&x).expect("predicts")), bits(&ite));
     }
 
     // ---- dataset handling -------------------------------------------------
