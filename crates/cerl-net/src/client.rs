@@ -138,8 +138,11 @@ impl NetClient {
     }
 
     /// Block until the next complete response frame arrives and decode
-    /// it. Responses to pipelined requests arrive in submission order
-    /// per connection unless some were shed by deadline first; match on
+    /// it. Against a scheduler backend, responses to pipelined requests
+    /// arrive in submission order per connection; against a router
+    /// backend they may arrive in completion order. Either way, deadline
+    /// sheds and wire-fault errors are answered as soon as they happen,
+    /// ahead of earlier requests still in flight, so match on
     /// [`Response::request_id`] when in doubt.
     pub fn recv_response(&mut self) -> Result<Response, NetError> {
         let mut buf = [0u8; 16 * 1024];

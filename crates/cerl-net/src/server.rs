@@ -7,13 +7,31 @@
 //! classes: the self-pipe (token 0, woken by task wakers and
 //! `shutdown`), the serve listener (token 1), the optional admin
 //! listener (token 2, see below), the UDP health socket (token 3),
-//! and one token per connection. Inference never runs on
-//! the reactor thread — decoded requests are submitted to the backend
-//! ([`BatchScheduler::submit`] or [`ShardRouter::submit_scatter`]) and
-//! the returned handles are polled as genuine `Future`s: each
-//! connection owns a [`Waker`] that pushes its token onto a ready
-//! queue and pokes the self-pipe, so one thread keeps thousands of
-//! in-flight requests moving with no blocking `recv` anywhere.
+//! and one token per connection. Decoded requests are submitted to the
+//! backend ([`BatchScheduler::submit`] or
+//! [`ShardRouter::submit_scatter`]) and the returned handles are polled
+//! as genuine `Future`s: each connection owns a [`Waker`] that pushes
+//! its token onto a ready queue and pokes the self-pipe, so one thread
+//! keeps thousands of in-flight requests moving with no blocking `recv`
+//! anywhere. The only forward passes the reactor runs itself are
+//! scheduler inline passes: a request (or a scatter's per-shard
+//! sub-batch) of at most 16 rows that finds its scheduler empty is
+//! served inside `submit`, and the reactor's immediate poll of the new
+//! future writes its response in the same turn, with no waker and no
+//! self-pipe write. Larger requests, and any request that finds work
+//! queued, go to the backend's threads.
+//!
+//! # Response order
+//!
+//! The reactor keeps each connection's in-flight requests in
+//! submission order and writes completions in that order as it finds
+//! them. A scheduler backend therefore answers a connection in
+//! submission order: its completions are FIFO, and its inline pass runs
+//! only when nothing is queued, so it never overtakes a queued request.
+//! A router backend may answer in completion order, since a request's
+//! shards can finish in any order relative to another request's.
+//! Deadline sheds and wire-fault errors are written as soon as they
+//! happen, ahead of earlier requests still in flight.
 //!
 //! # Flow control
 //!
@@ -80,9 +98,10 @@
 //! # One-CPU caveat
 //!
 //! The reactor is one thread and inference runs on the backend's
-//! threads. On a single-CPU host they time-share: the reactor's
-//! latency numbers include scheduler preemption by inference work, so
-//! p99s measured there describe the machine, not the design. The
+//! threads, apart from inline passes of at most 16 rows on the reactor
+//! itself. On a single-CPU host they time-share: the reactor's latency
+//! numbers include scheduler preemption by inference work, so p99s
+//! measured there describe the machine, not the design. The
 //! stress tests therefore assert on *correctness* counters (zero
 //! serve faults, bitwise-identical payloads), not on wall-clock.
 
@@ -120,8 +139,9 @@ const TOKEN_CONN0: u64 = 4;
 
 /// What the reactor submits requests to.
 pub enum NetBackend {
-    /// Single-engine micro-batching: domain tags are ignored, every
-    /// request coalesces into the scheduler's next batch.
+    /// Single-engine micro-batching: domain tags are ignored, and a
+    /// request coalesces into the scheduler's next batch (or, when it
+    /// is small and the scheduler empty, runs inline in `submit`).
     Scheduler(Arc<BatchScheduler>),
     /// Shard-per-domain fleet: per-row tags scatter across shards and
     /// gather (`submit_scatter`), so one socket request may fan out to
@@ -1031,6 +1051,9 @@ struct Reactor {
     free: Vec<usize>,
     /// Round-robin start offset for the per-turn service sweep.
     cursor: usize,
+    /// Socket read buffer, `read_chunk` bytes, shared by every
+    /// connection (reads copy straight into each `FrameReader`).
+    read_buf: Vec<u8>,
 }
 
 impl Reactor {
@@ -1056,12 +1079,14 @@ impl Reactor {
             ready: Mutex::new(Vec::new()),
             pipe: Arc::clone(&wake),
         });
+        let read_buf = vec![0u8; cfg.read_chunk.max(1024)];
         Ok(Self {
             epoll,
             listener,
             admin_listener,
             udp,
             backend,
+            read_buf,
             cfg,
             stats,
             shutdown,
@@ -1255,7 +1280,6 @@ impl Reactor {
             self.close(idx);
             return;
         }
-        let read_chunk = self.cfg.read_chunk.max(1024);
         let mut close_needed = false;
         {
             // panic-ok: `idx` is a token minted from a conns slot index
@@ -1264,11 +1288,10 @@ impl Reactor {
                 return;
             };
             if bits & EPOLLIN != 0 && !conn.paused && !conn.corrupt {
-                let mut buf = vec![0u8; read_chunk];
+                let buf = &mut self.read_buf;
                 let mut read_total = 0usize;
                 loop {
-                    // panic-ok: full-range slice of a local buffer.
-                    match conn.stream.read(&mut buf[..]) {
+                    match conn.stream.read(buf) {
                         Ok(0) => {
                             // Peer closed. Anything already buffered or
                             // in flight is abandoned with it: the
@@ -1283,7 +1306,7 @@ impl Reactor {
                             read_total += n;
                             self.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed); // ordering: lone stat counter, no edges
                             conn.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed); // ordering: lone stat counter, no edges
-                            if read_total >= read_chunk {
+                            if read_total >= buf.len() {
                                 break; // fairness: level-triggered epoll re-reports
                             }
                         }
@@ -1360,7 +1383,10 @@ impl Reactor {
         }
     }
 
-    /// Poll every in-flight future of connection `idx` once.
+    /// Poll every in-flight future of connection `idx` once, in
+    /// submission order, and write each completion as it is found.
+    /// Retiring one keeps the rest in order, so completions that land
+    /// together are written in the order they were submitted.
     fn poll_conn(&mut self, idx: usize) {
         // panic-ok: `idx` is a token minted from a conns slot index
         // at install time, always < conns.len().
@@ -1375,7 +1401,8 @@ impl Reactor {
             match conn.inflight[i].future.poll(&mut cx) {
                 Poll::Pending => i += 1,
                 Poll::Ready(outcome) => {
-                    let inflight = conn.inflight.swap_remove(i);
+                    // panic-ok: the loop condition keeps i < inflight.len().
+                    let inflight = conn.inflight.remove(i);
                     // ordering: advisory inflight gauge, no edges.
                     conn.stats.inflight.fetch_sub(1, Ordering::Relaxed);
                     let response = match outcome {

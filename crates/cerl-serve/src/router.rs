@@ -584,10 +584,12 @@ impl ShardRouter {
     /// [`ShardRouter::submit_scatter`] with an optional trace span whose
     /// stage stamps follow the request through every shard's scheduler.
     ///
-    /// All sub-batches share the one span: each stage records the
-    /// *earliest* time any sub-batch reached it (first-writer-wins in
-    /// [`cerl_obs::TraceSpan::stamp`]), so the span reads as the
-    /// request's critical path. Completion stays with the caller — the
+    /// All sub-batches share the one span: each stage up to inference
+    /// records the *earliest* time any sub-batch reached it
+    /// (first-writer-wins in [`cerl_obs::TraceSpan::stamp`]), while
+    /// `Gathered` is stamped once, when the *last* sub-batch settles,
+    /// so the gather-to-write gap is the write and not the skew between
+    /// shards. Completion stays with the caller — the
     /// router never calls [`cerl_obs::TraceSpan::complete`].
     pub fn submit_scatter_traced(
         &self,
@@ -671,9 +673,10 @@ impl ShardRouter {
 
         // Fan out: with batching, submit every sub-batch before waiting
         // on any, so the shards' collector threads coalesce and execute
-        // them concurrently; unbatched shards run a pinned parallel pass
-        // inline. `rows_by_shard[shard]` is ascending, so each sub-batch
-        // preserves the request's original row order.
+        // them concurrently (a sub-batch small enough for an idle
+        // shard's inline pass runs here); unbatched shards run a pinned
+        // parallel pass inline. `rows_by_shard[shard]` is ascending, so
+        // each sub-batch preserves the request's original row order.
         let mut pending: Vec<(usize, ResponseHandle)> = Vec::new();
         let mut resolved: Vec<(usize, u64, Vec<f64>)> = Vec::new();
         for (shard, rows) in rows_by_shard
@@ -686,7 +689,8 @@ impl ShardRouter {
             // to shards.len() (both sites in this arm).
             match &self.shards[shard].scheduler {
                 Some(scheduler) => {
-                    pending.push((shard, scheduler.submit_traced(sub, trace.clone())?));
+                    let handle = scheduler.submit_traced(sub, trace.clone())?;
+                    pending.push((shard, handle.without_gathered_stamp()));
                 }
                 None => {
                     // panic-ok: same enumerate() bound as above.
@@ -1681,6 +1685,57 @@ mod tests {
             assert_eq!(stats.queue_wait.count, 1);
         }
         assert_eq!(router.stats().requests, 2);
+    }
+
+    #[test]
+    fn scatter_stamps_gathered_when_its_last_shard_settles() {
+        use cerl_obs::TraceRing;
+        use std::task::{Context, Waker};
+
+        let stream = quick_stream(2);
+        let map = ShardMap::from_pairs(2, &[(0, 0), (1, 1)]).unwrap();
+        let router =
+            ShardRouter::with_batching(shard_engines(&stream, 2), map, BatchConfig::default())
+                .unwrap();
+        // Park shard 1's collector inside one large pass.
+        let base = &stream.domain(1).test.x;
+        let idx: Vec<usize> = (0..30_000).map(|i| i % base.rows()).collect();
+        let big_x = base.select_rows(&idx);
+        let big = router
+            .submit_scatter(&vec![1; big_x.rows()], &big_x)
+            .unwrap();
+        while router.shard_stats(1).unwrap().unwrap().batches == 0 {
+            std::thread::yield_now();
+        }
+
+        let ring = TraceRing::new(4, 1);
+        let span = ring.begin(0, 1).unwrap();
+        let mut rows = stream.domain(0).test.x.slice_rows(0, 4).as_slice().to_vec();
+        rows.extend_from_slice(base.slice_rows(0, 4).as_slice());
+        let x = Matrix::from_vec(8, base.cols(), rows);
+        let mut handle = router
+            .submit_scatter_traced(&[0, 0, 0, 0, 1, 1, 1, 1], &x, Some(span.clone()))
+            .unwrap();
+        // Shard 0's sub-batch settles while shard 1 is still parked.
+        let mut cx = Context::from_waker(Waker::noop());
+        while router.shard_stats(0).unwrap().unwrap().requests == 0 {
+            assert!(Pin::new(&mut handle).poll(&mut cx).is_pending());
+            std::thread::yield_now();
+        }
+        // Shard 1's sub-batch queued behind the parked pass, so it
+        // completes after that pass has answered.
+        assert!(big.wait().is_ok());
+        let parked_done = ring.now_nanos();
+        assert!(handle.wait().is_ok());
+        span.complete();
+
+        let snap = ring.dump(1)[0];
+        let gathered = snap.stamp(Stage::Gathered).expect("gathered stamped");
+        assert!(
+            gathered >= parked_done,
+            "Gathered at {gathered} ns, before the parked shard answered at {parked_done} ns"
+        );
+        assert!(snap.is_monotone());
     }
 
     /// One engine cloned across `shards` replicas — the replicated-fleet

@@ -13,6 +13,17 @@
 //!   request or fails fast with [`ServeError::QueueFull`] — load is shed
 //!   at the front door instead of growing the queue (and every queued
 //!   request's latency) without bound.
+//! * **Inline pass for a lone small request.** A request of at most 16
+//!   rows that finds the scheduler empty (nothing queued, batching or
+//!   executing) runs its forward pass on the thread that submits it, and
+//!   its handle is ready before [`BatchScheduler::submit`] returns. It
+//!   skips the two cross-thread hand-offs (to the collector and back to
+//!   the caller's waker), which cost more than a pass over 16 rows.
+//!   Everything else is queued, and a request that arrives while an
+//!   inline pass runs waits for it and coalesces into the next batch.
+//!   The gate admits an inline pass only when nothing is queued, so it
+//!   never overtakes a queued request: completions stay in submission
+//!   order.
 //! * **Batch closing.** A dedicated collector thread opens a batch on
 //!   the first queued request and drains what is already queued. A
 //!   request that drains the queue alone runs at once: an idle
@@ -49,8 +60,9 @@ use cerl_math::Matrix;
 use cerl_obs::{MetricsRegistry, Stage, TraceSpan};
 use std::collections::BTreeMap;
 use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Waker};
@@ -70,7 +82,8 @@ pub struct BatchConfig {
     /// further arrivals, counted from when it opened (default 2 ms);
     /// within it, the batch waits no longer than the previous forward
     /// pass took. A request that finds the queue otherwise empty runs
-    /// at once and pays none of it.
+    /// at once and pays none of it; one of at most 16 rows that finds
+    /// the scheduler empty runs on the submitting thread.
     pub max_wait: Duration,
     /// Bounded submission queue capacity in pending requests (default
     /// 1024). Submissions beyond it fail with [`ServeError::QueueFull`].
@@ -377,6 +390,56 @@ impl ServeStats {
 
 type ReplyPayload = Result<(u64, Vec<f64>), ServeError>;
 
+/// Largest request, in rows, that runs on the submitting thread when it
+/// finds the scheduler empty. Sized by break-even on a 2-vCPU host: the
+/// two cross-thread hand-offs an inline pass saves (submitter to
+/// collector, collector back to the submitter's waker) cost ~40 µs at
+/// p50, and a forward pass costs ~2.7 µs per row, so they break even
+/// near 15 rows. Past the bound the caller would wait on its own pass
+/// longer than on the hops, and a router's per-shard scatter
+/// sub-batches (tens of rows and up) stay on the collectors, where the
+/// shards run in parallel.
+const INLINE_MAX_ROWS: usize = 16;
+
+/// Who may run a forward pass: shared by the submitters and the
+/// collector thread.
+#[derive(Default)]
+struct PassGate {
+    /// Requests queued, batching or executing. A submitter claims an
+    /// inline pass only by moving it from 0 to 1.
+    outstanding: AtomicUsize,
+    /// Held for the whole of an inline pass. The collector takes and
+    /// drops it once its batch-opening request arrives, so requests
+    /// that queue behind an inline pass coalesce into one batch after
+    /// it instead of running beside it.
+    pass: Mutex<()>,
+}
+
+impl PassGate {
+    /// Claim an inline pass: succeeds only on an empty scheduler.
+    fn claim_idle(&self) -> bool {
+        // ordering: Acquire pairs with `release`'s Release, so a claim
+        // that reads 0 happens-after the end of every earlier pass.
+        self.outstanding
+            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Count one request about to be queued. An RMW always reads the
+    /// latest count, so a later `claim_idle` fails until it is served.
+    fn enter(&self) {
+        // ordering: the count publishes no data (the request travels
+        // through the channel); only its modification order matters.
+        self.outstanding.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `n` requests left the scheduler (served, or refused a queue slot).
+    fn release(&self, n: usize) {
+        // ordering: Release pairs with `claim_idle`'s Acquire.
+        self.outstanding.fetch_sub(n, Ordering::Release);
+    }
+}
+
 /// One-shot completion slot shared between a queued request and its
 /// [`ResponseHandle`]. The handle can consume the outcome two ways:
 /// blocking on the condvar ([`ResponseHandle::wait`]) or registering a
@@ -454,7 +517,7 @@ struct PendingRequest {
     enqueued: Instant,
     slot: Arc<ReplySlot>,
     /// Sampled observability span threaded from the network reactor;
-    /// the collector stamps the queue/batch/inference stages through it.
+    /// the pass stamps the queue/batch/inference stages through it.
     trace: Option<TraceSpan>,
 }
 
@@ -474,6 +537,8 @@ impl Drop for PendingRequest {
 /// `.await`/polling it — the handle is a true [`Future`], resolved by
 /// the collector thread through the stored waker, so an event loop can
 /// keep thousands of requests in flight without blocking a thread each.
+/// A request served by an inline pass is resolved before `submit`
+/// returns, so its first poll is `Ready` and its waker never fires.
 ///
 /// Dropping the handle abandons the request (the batch still runs; the
 /// result is discarded and not counted in [`ServeStats::requests`]).
@@ -483,10 +548,21 @@ pub struct ResponseHandle {
     submitted: Instant,
     metrics: Arc<ServeMetrics>,
     done: bool,
+    /// The span to stamp `Gathered` on when this handle settles; `None`
+    /// for a scatter's per-shard handle, whose parent stamps it.
     trace: Option<TraceSpan>,
 }
 
 impl ResponseHandle {
+    /// Leave the `Gathered` stamp to the owner of a shared span: a
+    /// scatter's request is gathered when its *last* shard settles, and
+    /// a stamp is first-writer-wins, so a per-shard handle must not set
+    /// it when the first shard does.
+    pub(crate) fn without_gathered_stamp(mut self) -> Self {
+        self.trace = None;
+        self
+    }
+
     /// Block until the batch containing this request has executed;
     /// returns the serving engine version and the request's own ITE rows.
     pub fn wait(mut self) -> Result<(u64, Vec<f64>), ServeError> {
@@ -541,6 +617,7 @@ pub struct BatchScheduler {
     queue: SyncSender<PendingRequest>,
     collector: Option<JoinHandle<()>>,
     metrics: Arc<ServeMetrics>,
+    gate: Arc<PassGate>,
     cfg: BatchConfig,
 }
 
@@ -559,13 +636,15 @@ impl BatchScheduler {
         let cfg = cfg.normalized();
         let (queue, rx) = mpsc::sync_channel(cfg.queue_capacity);
         let metrics = Arc::new(ServeMetrics::default());
+        let gate = Arc::new(PassGate::default());
         let collector = std::thread::Builder::new()
             .name("cerl-serve-collector".into())
             .spawn({
                 let engine = Arc::clone(&engine);
                 let metrics = Arc::clone(&metrics);
+                let gate = Arc::clone(&gate);
                 let cfg = cfg.clone();
-                move || collector_loop(&engine, &rx, &cfg, &metrics)
+                move || collector_loop(&engine, &rx, &cfg, &metrics, &gate)
             })
             // panic-ok: construction-time only — failing to spawn the
             // collector thread means the scheduler cannot exist; no
@@ -576,6 +655,7 @@ impl BatchScheduler {
             queue,
             collector: Some(collector),
             metrics,
+            gate,
             cfg,
         }
     }
@@ -585,7 +665,10 @@ impl BatchScheduler {
         Self::new(engine, BatchConfig::default())
     }
 
-    /// Enqueue one request without blocking for its result.
+    /// Submit one request. A request of at most 16 rows that finds the
+    /// scheduler empty runs its forward pass on the calling thread, and
+    /// the returned handle is ready at once; any other request is
+    /// enqueued, and this returns without blocking for its result.
     ///
     /// Fails fast with [`ServeError::QueueFull`] when the bounded queue
     /// is at capacity, and pre-screens the covariate width against the
@@ -598,7 +681,7 @@ impl BatchScheduler {
     }
 
     /// [`BatchScheduler::submit`] with a sampled observability span
-    /// threaded through the batch pipeline: the collector stamps the
+    /// threaded through the batch pipeline: the pass stamps the
     /// queue-wait, batching, and inference stages on `trace`, and the
     /// returned handle stamps the gather stage when it settles. `None`
     /// is exactly `submit` (the unsampled hot path pays nothing).
@@ -632,15 +715,21 @@ impl BatchScheduler {
             slot: Arc::clone(&slot),
             trace: trace.clone(),
         };
-        if let Err(e) = self.queue.try_send(pending) {
-            let err = match e {
-                TrySendError::Full(_) => ServeError::QueueFull {
-                    capacity: self.cfg.queue_capacity,
-                },
-                TrySendError::Disconnected(_) => ServeError::SchedulerShutdown,
-            };
-            self.metrics.record_rejection(&err);
-            return Err(err);
+        if pending.x.rows() <= INLINE_MAX_ROWS && self.gate.claim_idle() {
+            self.serve_inline(pending);
+        } else {
+            self.gate.enter();
+            if let Err(e) = self.queue.try_send(pending) {
+                self.gate.release(1);
+                let err = match e {
+                    TrySendError::Full(_) => ServeError::QueueFull {
+                        capacity: self.cfg.queue_capacity,
+                    },
+                    TrySendError::Disconnected(_) => ServeError::SchedulerShutdown,
+                };
+                self.metrics.record_rejection(&err);
+                return Err(err);
+            }
         }
         Ok(ResponseHandle {
             slot,
@@ -649,6 +738,22 @@ impl BatchScheduler {
             done: false,
             trace,
         })
+    }
+
+    /// Run one request's pass on this thread, after `claim_idle`
+    /// succeeded. A panic in the pass stays here: unwinding drops the
+    /// request, which answers its handle with
+    /// [`ServeError::SchedulerShutdown`] as on the collector path.
+    fn serve_inline(&self, pending: PendingRequest) {
+        let _ = panic::catch_unwind(AssertUnwindSafe(move || {
+            let _pass = self
+                .gate
+                .pass
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            serve_batch(&self.engine, &[pending], &self.cfg, &self.metrics);
+        }));
+        self.gate.release(1);
     }
 
     /// Predicted ITEs for one request, served through the batch path
@@ -718,8 +823,9 @@ impl Drop for BatchScheduler {
     }
 }
 
-/// Collector thread body: open a batch on the first queued request and
-/// top it up with what is already queued. Alone, it runs at once; with
+/// Collector thread body: open a batch on the first queued request
+/// (after any inline pass in progress) and top it up with what is
+/// already queued. Alone, it runs at once; with
 /// company, it keeps taking arrivals for as long as the last pass took,
 /// within `max_wait` of opening. Either way it closes at
 /// `max_batch_rows`. Then execute, demux, repeat. Exits when every
@@ -729,6 +835,7 @@ fn collector_loop(
     rx: &Receiver<PendingRequest>,
     cfg: &BatchConfig,
     metrics: &ServeMetrics,
+    gate: &PassGate,
 ) {
     let mut last_pass = Duration::ZERO;
     loop {
@@ -737,6 +844,10 @@ fn collector_loop(
             Ok(first) => first,
             Err(_) => return,
         };
+        // Wait out an inline pass that may be running, so what queues
+        // behind it joins this batch. No later inline pass can start
+        // while the batch is counted in the gate.
+        drop(gate.pass.lock().unwrap_or_else(PoisonError::into_inner));
         let opened = Instant::now();
         let deadline = opened + cfg.max_wait;
         let wait_until = opened + cfg.max_wait.min(last_pass);
@@ -771,6 +882,7 @@ fn collector_loop(
         let pass = Instant::now();
         serve_batch(engine, &batch, cfg, metrics);
         last_pass = pass.elapsed();
+        gate.release(batch.len());
     }
 }
 
@@ -917,7 +1029,9 @@ mod tests {
         );
         let x = &stream.domain(0).test.x;
 
-        // Submit several overlapping slices concurrently so they coalesce.
+        // Submitted back to back from one thread, each small slice finds
+        // the scheduler empty and runs inline; the park tests below cover
+        // queued requests coalescing.
         let slices: Vec<Matrix> = (0..8).map(|i| x.slice_rows(i * 4, i * 4 + 4)).collect();
         let handles: Vec<ResponseHandle> = slices
             .iter()
@@ -987,7 +1101,8 @@ mod tests {
                 ..BatchConfig::default()
             },
         );
-        let x = stream.domain(0).test.x.slice_rows(0, 3);
+        // Past the inline bound, so the collector serves it.
+        let x = stream.domain(0).test.x.slice_rows(0, INLINE_MAX_ROWS + 1);
         let t0 = Instant::now();
         let ite = scheduler.predict_ite(&x).unwrap();
         // The queue is drained after the lone request, so its batch runs
@@ -995,6 +1110,88 @@ mod tests {
         // noise on a loaded 1-CPU runner, far below the 60 s cap.
         assert!(t0.elapsed() < Duration::from_secs(10));
         assert_eq!(ite, serving.predict_ite(&x).unwrap());
+    }
+
+    #[test]
+    fn a_lone_small_request_on_an_idle_scheduler_runs_inline() {
+        let stream = quick_stream(1);
+        let serving = trained_serving(&stream, 1);
+        let scheduler = BatchScheduler::with_defaults(Arc::clone(&serving));
+        let x = stream.domain(0).test.x.slice_rows(0, INLINE_MAX_ROWS);
+        let mut handle = scheduler.submit(x.clone()).unwrap();
+        // Served before submit returned: ready on the first poll, with a
+        // waker that could never have woken anyone.
+        let mut cx = Context::from_waker(Waker::noop());
+        let Poll::Ready(outcome) = Pin::new(&mut handle).poll(&mut cx) else {
+            panic!("an inline request must be ready on its first poll");
+        };
+        let (version, ite) = outcome.unwrap();
+        assert_eq!(version, 1);
+        assert_eq!(ite, serving.predict_ite(&x).unwrap());
+        let stats = scheduler.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.max_batch_requests, 1);
+        assert_eq!(stats.batched_rows, INLINE_MAX_ROWS as u64);
+        assert_eq!(stats.queue_wait.count, 1);
+        assert_eq!(stats.requests, 1);
+    }
+
+    #[test]
+    fn a_request_past_the_inline_bound_goes_to_the_collector() {
+        let stream = quick_stream(1);
+        let serving = trained_serving(&stream, 1);
+        let scheduler = BatchScheduler::with_defaults(Arc::clone(&serving));
+        let x = stream.domain(0).test.x.slice_rows(0, INLINE_MAX_ROWS + 1);
+        // Hold the pass lock: the collector takes it before every batch,
+        // so nothing can serve the request until it is released. An
+        // inline pass would block here instead of returning.
+        let pass = scheduler.gate.pass.lock().unwrap();
+        let mut handle = scheduler.submit(x.clone()).unwrap();
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(Pin::new(&mut handle).poll(&mut cx).is_pending());
+        drop(pass);
+        let (version, ite) = handle.wait().unwrap();
+        assert_eq!(version, 1);
+        assert_eq!(ite, serving.predict_ite(&x).unwrap());
+        assert_eq!(scheduler.stats().batches, 1);
+    }
+
+    #[test]
+    fn requests_arriving_during_an_inline_pass_queue_and_coalesce() {
+        let stream = quick_stream(1);
+        let serving = trained_serving(&stream, 1);
+        let scheduler = BatchScheduler::with_defaults(Arc::clone(&serving));
+        let x = &stream.domain(0).test.x;
+        // The state an inline pass holds while it runs: the gate claimed
+        // and the pass lock taken.
+        assert!(scheduler.gate.claim_idle());
+        let pass = scheduler.gate.pass.lock().unwrap();
+        let slices: Vec<Matrix> = (0..3).map(|i| x.slice_rows(i * 2, i * 2 + 2)).collect();
+        let handles: Vec<ResponseHandle> = slices
+            .iter()
+            .map(|s| scheduler.submit(s.clone()).unwrap())
+            .collect();
+        // The pass ends; the collector, held at the lock since the first
+        // arrival, drains all three into one batch.
+        drop(pass);
+        scheduler.gate.release(1);
+        for (slice, handle) in slices.iter().zip(handles) {
+            assert_eq!(
+                handle.wait().unwrap().1,
+                serving.predict_ite(slice).unwrap()
+            );
+        }
+        let stats = scheduler.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.max_batch_requests, 3);
+        // Handles are answered inside the pass and the gate released
+        // after it; once released, the next lone request runs inline.
+        while scheduler.gate.outstanding.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
+        let mut handle = scheduler.submit(slices[0].clone()).unwrap();
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(Pin::new(&mut handle).poll(&mut cx).is_ready());
     }
 
     /// Park the collector inside one large forward pass (it records the
@@ -1222,7 +1419,9 @@ mod tests {
                 ..BatchConfig::default()
             },
         );
-        let x = stream.domain(0).test.x.slice_rows(0, 3);
+        // Past the inline bound, so the collector fulfils it and fires
+        // the waker.
+        let x = stream.domain(0).test.x.slice_rows(0, INLINE_MAX_ROWS + 1);
         let mut handle = scheduler.submit(x.clone()).unwrap();
 
         let unparker = Arc::new(Unparker {
@@ -1264,7 +1463,9 @@ mod tests {
                 ..BatchConfig::default()
             },
         );
-        let x = stream.domain(0).test.x.slice_rows(0, 2);
+        // Past the inline bound, so it goes through the queue the drop
+        // disconnects.
+        let x = stream.domain(0).test.x.slice_rows(0, INLINE_MAX_ROWS + 1);
         let handle = scheduler.submit(x.clone()).unwrap();
         drop(scheduler); // disconnects the queue; collector drains first
         let (version, ite) = handle.wait().unwrap();

@@ -46,9 +46,8 @@ fn coalesced_results_bitwise_match_unbatched_under_load() {
     let scheduler = Arc::new(BatchScheduler::new(
         Arc::clone(&serving),
         BatchConfig {
-            // A generous coalescing window: with several clients
-            // resubmitting continuously, batches reliably carry more
-            // than one request even on a single CPU.
+            // A generous coalescing window for the batches that follow
+            // the parked pass below, even on a single CPU.
             max_wait: Duration::from_millis(5),
             ..BatchConfig::default()
         },
@@ -57,6 +56,15 @@ fn coalesced_results_bitwise_match_unbatched_under_load() {
     let x = &stream.domain(0).test.x;
     let clients = 6;
     let per_client = 20;
+    // Park the collector in one large pass before the clients start, so
+    // their first requests queue behind it and coalesce. Without it the
+    // clients need not overlap at all: a lone small request that finds
+    // the scheduler empty runs on the submitting thread, in microseconds.
+    let idx: Vec<usize> = (0..60_000).map(|i| i % x.rows()).collect();
+    let parked = scheduler.submit(x.select_rows(&idx)).unwrap();
+    while scheduler.stats().batches == 0 {
+        std::thread::yield_now();
+    }
     std::thread::scope(|scope| {
         for c in 0..clients {
             let scheduler = Arc::clone(&scheduler);
@@ -81,19 +89,19 @@ fn coalesced_results_bitwise_match_unbatched_under_load() {
             });
         }
     });
+    assert!(parked.wait().is_ok());
 
+    // Every count includes the parked request.
+    let answered = (clients * per_client) as u64 + 1;
     let stats = scheduler.stats();
-    assert_eq!(stats.requests, (clients * per_client) as u64);
+    assert_eq!(stats.requests, answered);
     assert_eq!(stats.rejected, 0);
     assert!(
         stats.max_batch_requests >= 2,
         "no coalescing happened: {stats:?}"
     );
     assert!(stats.batches < stats.requests, "every request ran alone");
-    assert_eq!(
-        stats.per_version_requests,
-        vec![(1, (clients * per_client) as u64)]
-    );
+    assert_eq!(stats.per_version_requests, vec![(1, answered)]);
     assert_eq!(stats.queue_wait.count, stats.requests);
     assert_eq!(stats.end_to_end.count, stats.requests);
 }

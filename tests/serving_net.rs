@@ -665,6 +665,75 @@ fn slow_readers_trip_write_backpressure_without_blocking_fast_clients() {
     server.shutdown().unwrap();
 }
 
+/// A scheduler backend answers one connection's pipelined requests in
+/// submission order, even when they all complete in one batch and the
+/// reactor retires them from one poll.
+#[test]
+fn pipelined_responses_arrive_in_submission_order() {
+    const PIPELINED: usize = 8;
+    // Past the scheduler's inline bound (16 rows), so every request is
+    // queued for the collector whatever the timing.
+    const ROWS: usize = 20;
+
+    let stream = quick_stream(1);
+    let serving = Arc::new(ServingEngine::new(stage1_engine(&stream)));
+    let scheduler = Arc::new(BatchScheduler::new(
+        Arc::clone(&serving),
+        BatchConfig::default(),
+    ));
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Scheduler(Arc::clone(&scheduler)),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+
+    // Park the collector in one large pass, so the pipeline queues
+    // behind it in full and runs as the next batch.
+    let base = &stream.domain(0).test.x;
+    let idx: Vec<usize> = (0..60_000).map(|i| i % base.rows()).collect();
+    let parked = scheduler.submit(base.select_rows(&idx)).unwrap();
+    while scheduler.stats().batches == 0 {
+        std::thread::yield_now();
+    }
+
+    let slices: Vec<Matrix> = (0..PIPELINED)
+        .map(|i| base.slice_rows(i, i + ROWS))
+        .collect();
+    let mut frames = Vec::new();
+    for (i, x) in slices.iter().enumerate() {
+        wire::encode_request(
+            &WireRequest {
+                request_id: i as u64 + 1,
+                deadline_ms: 0,
+                cols: x.cols() as u32,
+                tags: vec![0; x.rows()],
+                covariates: x.as_slice().to_vec(),
+            },
+            &mut frames,
+        );
+    }
+    let mut client = connect_retry(server.local_addr());
+    client.send_raw(&frames).unwrap();
+    assert!(parked.wait().is_ok());
+
+    for (i, x) in slices.iter().enumerate() {
+        match client.recv_response().unwrap() {
+            WireResponse::Ite { request_id, ite } => {
+                assert_eq!(request_id, i as u64 + 1, "responses arrive in order");
+                assert_bitwise(&ite, &serving.predict_ite(x).unwrap(), "pipelined");
+            }
+            WireResponse::Error { status, detail, .. } => {
+                panic!("pipelined request rejected: {status:?}: {detail}")
+            }
+        }
+    }
+    let stats = scheduler.stats();
+    assert_eq!(stats.batches, 2, "the pipeline must run as one batch");
+    assert_eq!(stats.max_batch_requests, PIPELINED as u64);
+    server.shutdown().unwrap();
+}
+
 /// A live fleet behind the socket front-end goes through a shard hot
 /// swap and then a full dual-route rebalance while mixed-domain scatter
 /// traffic is in flight: every row of every response is bitwise
