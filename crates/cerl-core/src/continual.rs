@@ -220,8 +220,9 @@ impl Cerl {
         )
     }
 
-    /// Rebuild a learner from a snapshot, validating the format version and
-    /// internal consistency. The restored learner continues exactly where
+    /// Rebuild a learner from a snapshot, validating its internal
+    /// consistency (the format version was checked when the bytes were
+    /// parsed). The restored learner continues exactly where
     /// the captured one stopped: it serves predictions for all previously
     /// seen domains and `observe`s subsequent domains.
     pub fn from_snapshot(snapshot: ModelSnapshot) -> Result<Self, CerlError> {

@@ -11,9 +11,10 @@
 //!   predict method return `Result`, so malformed requests (wrong
 //!   dimension, empty batches) surface as structured errors a handler can
 //!   map to a 4xx instead of crashing a worker.
-//! * **Versioned snapshots** — [`CerlEngine::save_bytes`] /
+//! * **Versioned snapshots** — [`CerlEngine::save_bytes_binary`] /
 //!   [`CerlEngine::load_bytes`] persist the trained estimator across
-//!   process restarts and let replicas hot-swap models; restored engines
+//!   process restarts in the one snapshot container format and let
+//!   replicas hot-swap models; with an f64 payload, restored engines
 //!   predict bitwise-identically and keep learning.
 //! * **Batched inference** — [`CerlEngine::predict_ite_batch`] serves a
 //!   set of request matrices in one call, and
@@ -23,6 +24,7 @@
 //! ```
 //! use cerl_core::config::CerlConfig;
 //! use cerl_core::engine::CerlEngineBuilder;
+//! use cerl_core::snapshot::SnapshotPayload;
 //! use cerl_data::{DomainStream, SyntheticConfig, SyntheticGenerator};
 //!
 //! let gen = SyntheticGenerator::new(SyntheticConfig::small(), 7);
@@ -39,7 +41,7 @@
 //! assert_eq!(ite.len(), stream.domain(0).test.n());
 //!
 //! // Persist, restart, keep serving.
-//! let bytes = engine.save_bytes()?;
+//! let bytes = engine.save_bytes_binary(SnapshotPayload::F64)?;
 //! let restored = cerl_core::engine::CerlEngine::load_bytes(&bytes)?;
 //! assert_eq!(restored.predict_ite(&stream.domain(0).test.x)?, ite);
 //! # Ok::<(), cerl_core::error::CerlError>(())
@@ -346,27 +348,22 @@ impl CerlEngine {
         Ok(self.trained()?.to_snapshot())
     }
 
-    /// Serialize the engine to the versioned JSON snapshot byte format.
-    pub fn save_bytes(&self) -> Result<Vec<u8>, CerlError> {
-        self.snapshot()?.to_bytes()
-    }
-
-    /// Serialize the engine to the compact binary snapshot container
-    /// (format v3), roughly 4-5x smaller than [`CerlEngine::save_bytes`]
-    /// with an f32 payload.
+    /// Serialize the engine to the snapshot container (see
+    /// [`crate::snapshot`] for the format).
     ///
     /// [`SnapshotPayload::F64`] round-trips bitwise;
     /// [`SnapshotPayload::F32`] narrows model floats exactly as
     /// [`PrecisionMode::F32`] serving does, so a replica restored from it
     /// and opted into f32 mode serves bitwise-identical predictions to
     /// this engine's f32 mode. [`CerlEngine::load_bytes`] reads both
-    /// payloads (and the JSON format) transparently.
+    /// payloads.
     pub fn save_bytes_binary(&self, payload: SnapshotPayload) -> Result<Vec<u8>, CerlError> {
         self.snapshot()?.to_binary_bytes(payload)
     }
 
-    /// Rebuild an engine from snapshot bytes (from [`CerlEngine::save_bytes`],
-    /// another replica, or a model registry). The restored engine serves
+    /// Rebuild an engine from snapshot bytes (from
+    /// [`CerlEngine::save_bytes_binary`], another replica, or a model
+    /// registry). The restored engine serves
     /// bitwise-identical predictions and continues `observe`-ing subsequent
     /// domains.
     pub fn load_bytes(bytes: &[u8]) -> Result<Self, CerlError> {
@@ -626,7 +623,7 @@ mod tests {
 
         // Precision is serving state, not model state: it does not ride
         // in the snapshot.
-        let bytes = engine.save_bytes().unwrap();
+        let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
         let mut restored = CerlEngine::load_bytes(&bytes).unwrap();
         assert_eq!(restored.precision(), PrecisionMode::F64);
 
@@ -650,13 +647,13 @@ mod tests {
         let x = &stream.domain(0).test.x;
         let f32_ite = engine.predict_ite(x).unwrap();
 
-        let json = engine.save_bytes().unwrap();
+        let wide = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
         let bin = engine.save_bytes_binary(SnapshotPayload::F32).unwrap();
         assert!(
-            bin.len() * 4 <= json.len(),
-            "f32 binary snapshot {} must be at most 1/4 of JSON {}",
+            bin.len() * 5 <= wide.len() * 3,
+            "f32 container {} must be at most 3/5 of the f64 container {}",
             bin.len(),
-            json.len()
+            wide.len()
         );
 
         // The narrowed payload holds exactly the floats the f32 plan
@@ -672,12 +669,15 @@ mod tests {
     fn save_load_roundtrip_preserves_predictions_and_learning() {
         let stream = quick_stream(2);
         let mut engine = CerlEngineBuilder::new(quick_cfg()).seed(9).build().unwrap();
-        assert!(matches!(engine.save_bytes(), Err(CerlError::NotTrained)));
+        assert!(matches!(
+            engine.save_bytes_binary(SnapshotPayload::F64),
+            Err(CerlError::NotTrained)
+        ));
         engine
             .observe(&stream.domain(0).train, &stream.domain(0).val)
             .unwrap();
 
-        let bytes = engine.save_bytes().unwrap();
+        let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
         let mut restored = CerlEngine::load_bytes(&bytes).unwrap();
         let x = &stream.domain(0).test.x;
         assert_eq!(

@@ -15,9 +15,12 @@
 //!   reader threads behind an atomically swappable snapshot pointer,
 //!   fans large requests across workers
 //!   ([`predict_ite_parallel`](serving::ServingEngine::predict_ite_parallel)),
-//!   and counts traffic in [`ServingStats`].
+//!   publishes every successor through one warm-probed path
+//!   ([`publish`](serving::ServingEngine::publish)), and counts traffic
+//!   in [`ServingStats`].
 //! * [`error`] / [`snapshot`] — [`CerlError`] and the
-//!   [`ModelSnapshot`] persistence format.
+//!   [`ModelSnapshot`] persistence format: one binary container, one
+//!   version.
 //! * [`cfr`] — the baseline causal-effect learner (Eq. 5): selective +
 //!   balanced representation learning with two-head outcome inference.
 //! * [`continual`] — [`Cerl`], Algorithm 1: feature
@@ -56,7 +59,8 @@
 //! let test = &stream.domain(0).test;
 //! let metrics = EffectMetrics::on_dataset(test, &engine.predict_ite(&test.x)?);
 //! assert!(metrics.sqrt_pehe.is_finite());
-//! let restored = cerl_core::engine::CerlEngine::load_bytes(&engine.save_bytes()?)?;
+//! let bytes = engine.save_bytes_binary(cerl_core::snapshot::SnapshotPayload::F64)?;
+//! let restored = cerl_core::engine::CerlEngine::load_bytes(&bytes)?;
 //! assert_eq!(restored.predict_ite(&test.x)?, engine.predict_ite(&test.x)?);
 //! # Ok::<(), cerl_core::error::CerlError>(())
 //! ```
@@ -132,7 +136,7 @@ pub use serving::{
 };
 pub use snapshot::{
     ModelSnapshot, ReplicaChange, ReplicaSet, ShardAssignment, ShardMap, ShardMapDiff, ShardMove,
-    SnapshotPayload, SNAPSHOT_BINARY_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION,
+    SnapshotPayload, SNAPSHOT_FORMAT_VERSION,
 };
 pub use strategies::{paper_lineup, CfrA, CfrB, CfrC, ContinualEstimator};
 pub use trainer::TrainReport;

@@ -13,16 +13,19 @@
 //!   pins a [`VersionedEngine`] handle (one `Arc` clone) and serves the
 //!   whole request from that immutable engine, so a swap mid-request can
 //!   never tear a prediction.
-//! * **Writers publish whole engines.** [`ServingEngine::swap_engine`],
-//!   [`ServingEngine::swap_snapshot_bytes`] (a replica shipping in a new
-//!   [`ModelSnapshot`](crate::snapshot::ModelSnapshot)), and
+//! * **Writers publish whole engines, through one path.**
+//!   [`ServingEngine::publish`] installs a successor built *outside* the
+//!   reader lock with a single pointer store, after the successor answers
+//!   one warm-up probe ([`ServingEngine::probe`]): an engine that cannot
+//!   serve, or that answers non-finite values, is never published.
+//!   [`ServingEngine::swap_snapshot_bytes_warm`] (a replica shipping in a
+//!   new [`ModelSnapshot`](crate::snapshot::ModelSnapshot)) and
 //!   [`ServingEngine::observe_and_swap`] (train a successor off to the
-//!   side, then publish) all build the successor *outside* the reader
-//!   lock and install it with a single pointer store. Writers are
-//!   serialized with each other for their whole read-modify-publish span,
-//!   so a newly published engine is never clobbered by a successor that
-//!   was derived from a predecessor. Versions increase by exactly one per
-//!   swap, under the lock, so readers observe a monotone sequence.
+//!   side, then publish) both end in that path. Writers are serialized
+//!   with each other for their whole read-modify-publish span, so a newly
+//!   published engine is never clobbered by a successor that was derived
+//!   from a predecessor. Versions increase by exactly one per publish,
+//!   under the lock, so readers observe a monotone sequence.
 //! * **Parallel inference.** [`ServingEngine::predict_ite_parallel`] fans
 //!   fixed-size row chunks of one large request matrix across scoped
 //!   worker threads (same row-partitioning idea as the parallel GEMM in
@@ -30,8 +33,8 @@
 //!   and per-row inference is batch-independent, so the output is bitwise
 //!   identical for any number of workers — within the pinned version's
 //!   [`PrecisionMode`]; each published version carries its own mode (see
-//!   [`crate::precision`] and
-//!   [`ServingEngine::swap_snapshot_bytes_with_precision`]).
+//!   [`crate::precision`]; opt a successor in with
+//!   [`CerlEngine::set_precision`] before publishing it).
 //! * **Observability.** Every request updates a [`ServingStats`] block of
 //!   atomic counters; [`ServingEngine::stats`] returns a coherent-enough
 //!   [`ServingStatsSnapshot`] for dashboards and load tests.
@@ -73,7 +76,7 @@ use crate::precision::PrecisionMode;
 use cerl_data::CausalDataset;
 use cerl_math::Matrix;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Row-chunk size used by [`ServingEngine::predict_ite_parallel`].
 ///
@@ -326,15 +329,13 @@ pub struct ServingStatsSnapshot {
 /// See the [module docs](self) for the concurrency contract.
 pub struct ServingEngine {
     current: RwLock<Arc<VersionedEngine>>,
-    /// Serializes writers — every publish path ([`swap_engine`],
-    /// [`swap_snapshot_bytes`], [`observe_and_swap`]) holds this for its
-    /// whole read-modify-publish span. Without it, a swap landing while
-    /// `observe_and_swap` trains its successor (cloned from the pre-swap
-    /// engine) would be silently overwritten by that stale successor.
-    /// Readers never touch this lock.
+    /// Serializes writers — [`publish`] and [`observe_and_swap`] hold
+    /// this for their whole read-modify-publish span. Without it, a
+    /// publish landing while `observe_and_swap` trains its successor
+    /// (cloned from the pre-publish engine) would be silently overwritten
+    /// by that stale successor. Readers never touch this lock.
     ///
-    /// [`swap_engine`]: ServingEngine::swap_engine
-    /// [`swap_snapshot_bytes`]: ServingEngine::swap_snapshot_bytes
+    /// [`publish`]: ServingEngine::publish
     /// [`observe_and_swap`]: ServingEngine::observe_and_swap
     writer_lock: Mutex<()>,
     stats: ServingStats,
@@ -359,12 +360,6 @@ impl ServingEngine {
             stats,
             superseded: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Build version 1 directly from snapshot bytes (a fresh replica
-    /// joining a fleet).
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, CerlError> {
-        Ok(Self::new(CerlEngine::load_bytes(bytes)?))
     }
 
     /// Pin the currently published engine version.
@@ -412,8 +407,9 @@ impl ServingEngine {
     }
 
     /// Precision of the currently published engine version. Per-version:
-    /// a swap may change it (see
-    /// [`ServingEngine::swap_snapshot_bytes_with_precision`]), so callers
+    /// a publish may change it (an engine opted into
+    /// [`PrecisionMode::F32`] with [`CerlEngine::set_precision`] before
+    /// [`ServingEngine::publish`]), so callers
     /// that need the mode a *specific* request was served under should pin
     /// via [`ServingEngine::current`] and read
     /// [`VersionedEngine::precision`].
@@ -632,96 +628,53 @@ impl ServingEngine {
         Ok(out)
     }
 
-    /// Publish a new engine; returns the version it was installed under.
+    /// Publish `engine` as the next version; returns the version it was
+    /// installed under. Every version after the first is installed here.
     ///
-    /// Waits for any in-flight writer (including a training
-    /// [`ServingEngine::observe_and_swap`]) — writers are serialized so a
-    /// publish can never be silently overwritten by a successor that was
-    /// trained from a pre-publish engine. The reader-facing write lock is
-    /// still held only for the pointer replacement, so readers that
-    /// already pinned the old version finish undisturbed and new readers
-    /// block only for the swap itself.
-    pub fn swap_engine(&self, engine: CerlEngine) -> u64 {
-        let _writer = self
+    /// Under the writer lock, the successor first answers one warm-up
+    /// probe ([`ServingEngine::probe`]); a successor that cannot serve
+    /// is dropped, its error returned, and the published engine is
+    /// unchanged. Writers are serialized (including a training
+    /// [`ServingEngine::observe_and_swap`]), so a publish can never be
+    /// silently overwritten by a successor that was trained from a
+    /// pre-publish engine. The reader-facing write lock is held only for
+    /// the pointer replacement, so readers that already pinned the old
+    /// version finish undisturbed and new readers block only for the
+    /// swap itself.
+    pub fn publish(&self, engine: CerlEngine) -> Result<u64, CerlError> {
+        let writer = self
             .writer_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        self.publish(engine)
+        self.publish_locked(&writer, engine)
     }
 
-    /// Deserialize snapshot bytes into a fresh engine and publish it.
+    /// Restore an engine from snapshot bytes and [`publish`] it. Parsing
+    /// and validation happen before either lock is taken, so a slow or
+    /// malformed snapshot never stalls readers; corrupt replica bytes can
+    /// never become the visible version.
     ///
-    /// Parsing and validation happen *before* either lock is taken, so a
-    /// slow or malformed snapshot never stalls readers; on error the
-    /// published engine is unchanged. Like [`ServingEngine::swap_engine`],
-    /// the publish waits for any in-flight writer.
-    pub fn swap_snapshot_bytes(&self, bytes: &[u8]) -> Result<u64, CerlError> {
-        let engine = CerlEngine::load_bytes(bytes)?;
-        Ok(self.swap_engine(engine))
-    }
-
-    /// [`ServingEngine::swap_snapshot_bytes`], opting the restored engine
-    /// into a [`PrecisionMode`] before it becomes visible — the fleet
-    /// hook for publishing an `f32` serving version from a shipped
-    /// snapshot. The single-precision plan is compiled *before* either
-    /// lock is taken, so readers never stall on plan compilation, and on
-    /// any error the published engine is unchanged.
-    pub fn swap_snapshot_bytes_with_precision(
-        &self,
-        bytes: &[u8],
-        mode: PrecisionMode,
-    ) -> Result<u64, CerlError> {
-        let mut engine = CerlEngine::load_bytes(bytes)?;
-        engine.set_precision(mode)?;
-        Ok(self.swap_engine(engine))
-    }
-
-    /// Like [`ServingEngine::swap_engine`], but run one probe batch
-    /// against the successor *before* publishing (swap hygiene).
-    ///
-    /// The probe is a single zero row of the successor's covariate
-    /// dimension; it pre-touches every parameter matrix along the forward
-    /// path (so the first real request does not pay the page-in cost) and,
-    /// more importantly, proves the successor can actually answer. A
-    /// successor that cannot serve — untrained, or with internally
-    /// inconsistent parameters that would panic on the first request — is
-    /// dropped and its error returned; the published engine is unchanged
-    /// and readers never see the broken version.
-    pub fn swap_engine_warm(&self, engine: CerlEngine) -> Result<u64, CerlError> {
-        let _writer = self
-            .writer_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Self::probe(&engine)?;
-        Ok(self.publish(engine))
-    }
-
-    /// [`ServingEngine::swap_snapshot_bytes`] with the warm-up probe of
-    /// [`ServingEngine::swap_engine_warm`]: the snapshot is parsed,
-    /// validated, *and probed* before the pointer swap, so corrupt replica
-    /// bytes can never become the visible version.
+    /// [`publish`]: ServingEngine::publish
     pub fn swap_snapshot_bytes_warm(&self, bytes: &[u8]) -> Result<u64, CerlError> {
-        let engine = CerlEngine::load_bytes(bytes)?;
-        self.swap_engine_warm(engine)
+        self.publish(CerlEngine::load_bytes(bytes)?)
     }
 
     /// Run one probe batch against a successor candidate; `Ok` means it
     /// can serve requests.
     ///
-    /// This is the warm-up check [`ServingEngine::swap_engine_warm`] runs
-    /// before publishing, exposed so staging paths (a shard rebalance
-    /// warming a successor it will not publish until commit) can fail
-    /// fast at staging time: an untrained engine or one with internally
-    /// inconsistent parameters returns its typed error, and a panic along
-    /// the forward path or a non-finite answer (a model poisoned by, say,
-    /// a NaN outcome in its training data) becomes
+    /// [`ServingEngine::publish`] runs this before every install, and
+    /// staging paths (a shard rebalance warming a successor it will not
+    /// publish until commit) run it to fail fast at staging time. The
+    /// probe is a single zero row of the successor's covariate dimension;
+    /// it pre-touches every parameter matrix along the forward path (so
+    /// the first real request does not pay the page-in cost) and proves
+    /// the successor can answer. An untrained engine or one with
+    /// internally inconsistent parameters returns its typed error, and a
+    /// panic along the forward path or a non-finite answer (a model
+    /// poisoned by, say, a NaN outcome in its training data) becomes
     /// [`SnapshotError::Incompatible`](crate::error::SnapshotError)
-    /// instead of reaching readers later.
-    pub fn probe_successor(engine: &CerlEngine) -> Result<(), CerlError> {
-        Self::probe(engine)
-    }
-
-    fn probe(engine: &CerlEngine) -> Result<(), CerlError> {
+    /// instead of reaching readers.
+    pub fn probe(engine: &CerlEngine) -> Result<(), CerlError> {
         let d_in = engine.covariate_dim().ok_or(CerlError::NotTrained)?;
         let probe = Matrix::zeros(1, d_in);
         // A well-formed engine returns a 1-row prediction; a corrupted one
@@ -744,38 +697,44 @@ impl ServingEngine {
     }
 
     /// Observe the next domain on a private successor of the current
-    /// engine, then publish the successor.
+    /// engine, then publish the successor through the same probe as
+    /// [`ServingEngine::publish`].
     ///
     /// The (long) training pass runs entirely outside the reader lock —
     /// readers keep serving the previous version throughout — and the
     /// publish is a single pointer swap. The writer lock is held for the
     /// whole clone-train-publish span: concurrent trainers are serialized
     /// so each observed domain lands on top of the previous one, and a
-    /// plain swap cannot slip in mid-training only to be clobbered by a
-    /// successor cloned from the pre-swap engine. On error nothing is
-    /// published.
+    /// plain publish cannot slip in mid-training only to be clobbered by
+    /// a successor cloned from the pre-publish engine. On error (a
+    /// training failure or a failed probe) nothing is published.
     pub fn observe_and_swap(
         &self,
         train: &CausalDataset,
         val: &CausalDataset,
     ) -> Result<(StageReport, u64), CerlError> {
-        let _writer = self
+        let writer = self
             .writer_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let mut successor = self.current().engine.clone();
         let report = successor.observe(train, val)?;
-        let version = self.publish(successor);
+        let version = self.publish_locked(&writer, successor)?;
         Ok((report, version))
     }
 
-    /// Install `engine` as the next version. Caller must hold
-    /// `writer_lock`.
+    /// Probe `engine`, then install it as the next version. The guard
+    /// argument proves the caller holds `writer_lock`.
     ///
     /// lock-order: `writer_lock` strictly precedes this pointer-lock
     /// write — taking `current.write()` without it would let two
     /// publishers interleave version assignment with the swap.
-    fn publish(&self, engine: CerlEngine) -> u64 {
+    fn publish_locked(
+        &self,
+        _writer: &MutexGuard<'_, ()>,
+        engine: CerlEngine,
+    ) -> Result<u64, CerlError> {
+        Self::probe(&engine)?;
         let mut guard = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let version = guard.version + 1;
         // Claim the version's stats slot before readers can pin the
@@ -792,7 +751,7 @@ impl ServingEngine {
             .push(old);
         self.reap_superseded();
         self.stats.swaps.fetch_add(1, Ordering::Relaxed); // ordering: lone monotone counter, no edges
-        version
+        Ok(version)
     }
 }
 
@@ -811,6 +770,7 @@ mod tests {
     use super::*;
     use crate::config::CerlConfig;
     use crate::engine::CerlEngineBuilder;
+    use crate::snapshot::SnapshotPayload;
     use cerl_data::{DomainStream, SyntheticConfig, SyntheticGenerator};
 
     fn quick_cfg() -> CerlConfig {
@@ -848,14 +808,18 @@ mod tests {
         assert_eq!(serving.precision(), PrecisionMode::F64);
         let x = &stream.domain(0).test.x;
         let f64_ite = serving.predict_ite(x).unwrap();
-        let bytes = serving.current().engine().save_bytes().unwrap();
+        let bytes = serving
+            .current()
+            .engine()
+            .save_bytes_binary(SnapshotPayload::F64)
+            .unwrap();
 
         // A long request pins version 1 (f64) before the f32 publish.
         let pinned_v1 = serving.current();
 
-        let v2 = serving
-            .swap_snapshot_bytes_with_precision(&bytes, PrecisionMode::F32)
-            .unwrap();
+        let mut narrow = CerlEngine::load_bytes(&bytes).unwrap();
+        narrow.set_precision(PrecisionMode::F32).unwrap();
+        let v2 = serving.publish(narrow).unwrap();
         assert_eq!(v2, 2);
         assert_eq!(serving.precision(), PrecisionMode::F32);
         let f32_ite = serving.predict_ite(x).unwrap();
@@ -934,9 +898,9 @@ mod tests {
                 .observe(&stream.domain(d).train, &stream.domain(d).val)
                 .unwrap();
         }
-        let bytes = donor.save_bytes().unwrap();
+        let bytes = donor.save_bytes_binary(SnapshotPayload::F64).unwrap();
 
-        let version = serving.swap_snapshot_bytes(&bytes).unwrap();
+        let version = serving.swap_snapshot_bytes_warm(&bytes).unwrap();
         assert_eq!(version, 2);
         let x = &stream.domain(1).test.x;
         assert_eq!(
@@ -945,7 +909,7 @@ mod tests {
         );
 
         // Malformed bytes leave the published engine untouched.
-        assert!(serving.swap_snapshot_bytes(b"not a snapshot").is_err());
+        assert!(serving.swap_snapshot_bytes_warm(b"not a snapshot").is_err());
         assert_eq!(serving.version(), 2);
     }
 
@@ -964,7 +928,7 @@ mod tests {
             .observe(&stream.domain(0).train, &stream.domain(0).val)
             .unwrap();
         let mut replica = fresh.clone();
-        assert_eq!(serving.swap_engine(fresh), 2);
+        assert_eq!(serving.publish(fresh).unwrap(), 2);
 
         let (report, version) = serving
             .observe_and_swap(&stream.domain(1).train, &stream.domain(1).val)
@@ -1053,7 +1017,7 @@ mod tests {
                 .observe(&stream.domain(d).train, &stream.domain(d).val)
                 .unwrap();
         }
-        let version = serving.swap_engine_warm(donor.clone()).unwrap();
+        let version = serving.publish(donor.clone()).unwrap();
         assert_eq!(version, 2);
         let x = &stream.domain(1).test.x;
         assert_eq!(
@@ -1063,7 +1027,7 @@ mod tests {
 
         // The snapshot variant probes too.
         let version = serving
-            .swap_snapshot_bytes_warm(&donor.save_bytes().unwrap())
+            .swap_snapshot_bytes_warm(&donor.save_bytes_binary(SnapshotPayload::F64).unwrap())
             .unwrap();
         assert_eq!(version, 3);
     }
@@ -1079,7 +1043,7 @@ mod tests {
         // the version does not move, and readers keep the old engine.
         let untrained = CerlEngineBuilder::new(quick_cfg()).build().unwrap();
         assert!(matches!(
-            serving.swap_engine_warm(untrained),
+            serving.publish(untrained),
             Err(CerlError::NotTrained)
         ));
         assert_eq!(serving.version(), 1);
@@ -1125,7 +1089,7 @@ mod tests {
             let (a, b) = (&a, &b);
             let swaps = scope.spawn(move || {
                 for _ in 0..50 {
-                    a.swap_engine(donor.clone());
+                    a.publish(donor.clone()).unwrap();
                 }
             });
             let mut last_a = 0;
@@ -1151,7 +1115,7 @@ mod tests {
         // superseded engine is parked on the grace list, not dropped, and
         // keeps answering.
         let pinned = serving.current();
-        assert_eq!(serving.swap_engine(donor.clone()), 2);
+        assert_eq!(serving.publish(donor.clone()).unwrap(), 2);
         assert_eq!(serving.superseded_count(), 1);
         assert_eq!(serving.stats().retired_versions, 0);
         assert_eq!(pinned.version(), 1);
@@ -1165,7 +1129,7 @@ mod tests {
 
         // An unpinned swap retires its predecessor immediately: publish
         // reaps the grace list after parking.
-        assert_eq!(serving.swap_engine(donor), 3);
+        assert_eq!(serving.publish(donor).unwrap(), 3);
         assert_eq!(serving.superseded_count(), 0);
         assert_eq!(serving.stats().retired_versions, 2);
     }
@@ -1183,7 +1147,7 @@ mod tests {
             let (x, bad) = (&x, &bad);
             let writer = scope.spawn(move || {
                 for _ in 0..5 {
-                    serving.swap_engine(donor.clone());
+                    serving.publish(donor.clone()).unwrap();
                     std::thread::yield_now();
                 }
             });
@@ -1221,10 +1185,10 @@ mod tests {
     fn public_probe_matches_warm_swap_judgement() {
         let stream = quick_stream(1);
         let trained = trained_serving(&stream, 1);
-        assert!(ServingEngine::probe_successor(trained.current().engine()).is_ok());
+        assert!(ServingEngine::probe(trained.current().engine()).is_ok());
         let untrained = CerlEngineBuilder::new(quick_cfg()).build().unwrap();
         assert!(matches!(
-            ServingEngine::probe_successor(&untrained),
+            ServingEngine::probe(&untrained),
             Err(CerlError::NotTrained)
         ));
     }

@@ -10,32 +10,41 @@
 //! * the herded representation memory,
 //! * the stage counter, seed, and configuration.
 //!
-//! Two serialized forms exist, and [`ModelSnapshot::from_bytes`] reads
-//! both:
+//! One serialized form exists: a little-endian binary container, written
+//! by [`ModelSnapshot::to_binary_bytes`] and read by
+//! [`ModelSnapshot::from_bytes`], under one version number,
+//! [`SNAPSHOT_FORMAT_VERSION`]. Its layout (all integers little-endian):
 //!
-//! * **JSON** (format versions 1, 2 and 4) — a self-describing document
-//!   with an explicit [`format_version`](ModelSnapshot::format_version)
-//!   field. [`ModelSnapshot::to_bytes`] writes version 4
-//!   ([`SNAPSHOT_FORMAT_VERSION`]); versions 1 and 2 are upgraded on
-//!   read. Numbers round-trip exactly, so a restored model's
-//!   predictions are bitwise identical to the captured model's.
-//! * **Binary v3** — a compact little-endian container written by
-//!   [`ModelSnapshot::to_binary_bytes`] that hoists the float bulk (which
-//!   dominates a trained snapshot) out of the JSON text into raw IEEE-754
-//!   payload sections; see [`SNAPSHOT_BINARY_FORMAT_VERSION`] for the wire
-//!   layout. With a [`SnapshotPayload::F64`] payload the round-trip is
-//!   bitwise lossless; [`SnapshotPayload::F32`] narrows model floats for
-//!   serving replicas that answer in
-//!   [`PrecisionMode`](crate::precision::PrecisionMode)`::F32` anyway,
-//!   cutting snapshot size roughly 4-5x versus JSON.
+//! ```text
+//! magic            8 bytes   b"CERLSNAP"
+//! version          u32       SNAPSHOT_FORMAT_VERSION (5)
+//! payload kind     u8        0 = f64 floats, 1 = f32 floats
+//! reserved         3 bytes   zero
+//! section count    u32       2
+//! section table    tag u32 + byte length u64, twice:
+//!                    tag 1 = meta, then tag 2 = float payload
+//! section bodies   meta, then payload
+//! ```
 //!
-//! Readers reject unknown versions with
-//! [`SnapshotError::UnsupportedVersion`](crate::error::SnapshotError) before
-//! attempting to interpret the rest of the document, so a fleet can roll
-//! snapshot formats forward without replicas panicking on foreign bytes,
-//! and every binary decode path is length-checked — truncated or doctored
-//! bytes produce [`SnapshotError::Malformed`], never a panic or an
-//! unbounded allocation.
+//! The **meta** section is the snapshot's JSON document with every float
+//! array under the `model` and `memory` fields replaced by a
+//! `{"$floats": <index>}` placeholder. The **payload** section holds those
+//! arrays as raw IEEE-754 values: an array count (`u32`), then per array
+//! an element count (`u64`) followed by the elements (8 bytes each for an
+//! f64 payload, 4 for f32). With a [`SnapshotPayload::F64`] payload the
+//! round-trip is bitwise lossless; [`SnapshotPayload::F32`] narrows model
+//! floats for serving replicas that answer in
+//! [`PrecisionMode`](crate::precision::PrecisionMode)`::F32` anyway.
+//!
+//! The reader is strict. Bytes without the magic, non-zero reserved
+//! bytes, a section table other than exactly one meta section followed
+//! by one payload section, a length that runs past the input, trailing
+//! bytes, or a placeholder that does not resolve exactly once are
+//! [`SnapshotError::Malformed`](crate::error::SnapshotError); any other
+//! version is [`SnapshotError::UnsupportedVersion`](crate::error::SnapshotError),
+//! checked before the rest of the container is read. Every length is
+//! validated against the remaining input before it is allocated, so
+//! truncated or doctored bytes never panic or allocate without bound.
 
 use crate::cfr::CfrModel;
 use crate::config::CerlConfig;
@@ -49,61 +58,27 @@ use cerl_data::{OutcomeScaler, Standardizer};
 use cerl_nn::{ParamId, ParamStore};
 use serde::{Deserialize, Serialize, Value};
 
-/// JSON document version written by [`ModelSnapshot::to_bytes`]. Readers
-/// also accept versions 1 (which predates the `shard_map` / `shard_index`
-/// fields; they restore as `None`) and 2 (whose assignments carried a
-/// single `shard` per domain; they restore as one-replica sets). Bump on
-/// any incompatible change to the document layout.
-///
-/// Version history:
-/// * **1** — initial JSON layout (PR 1). Still readable.
-/// * **2** — adds the `shard_map` routing-metadata field. Still readable;
-///   each `domain → shard` entry upgrades to a one-replica set.
-/// * **3** — the binary container ([`SNAPSHOT_BINARY_FORMAT_VERSION`]);
-///   the embedded JSON document stays at its own version.
-/// * **4** — [`ShardMap`] assignments become `domain → replica-set`
-///   ([`ReplicaSet`]): an ordered set of shard ids instead of one shard.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+/// Version of the snapshot container, the one serialized form (see the
+/// [module docs](self) for its layout). Bump on any incompatible change.
+/// Numbers 1–4 belonged to earlier formats and must not be reused: this
+/// reader refuses their bytes with a typed error.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
-/// Container version written by [`ModelSnapshot::to_binary_bytes`] (format
-/// v3, the binary snapshot format).
-///
-/// Wire layout (all integers little-endian):
-///
-/// ```text
-/// magic            8 bytes   b"CERLSNAP"
-/// version          u32       3
-/// payload kind     u8        0 = f64 floats, 1 = f32 floats
-/// reserved         3 bytes   zero
-/// section count    u32
-/// section table    per section: tag u32, byte length u64
-///                    tag 1 = meta, tag 2 = float payload
-///                    (unknown tags are skipped, for forward compat)
-/// section bodies   concatenated in table order
-/// ```
-///
-/// The **meta** section is the snapshot's JSON document with every float
-/// array under the `model` and `memory` fields replaced by a
-/// `{"$floats": <index>}` placeholder. The **payload** section holds those
-/// arrays as raw IEEE-754 values: an array count (`u32`), then per array
-/// an element count (`u64`) followed by the elements (8 bytes each for an
-/// f64 payload, 4 for f32). Decoding validates every length against the
-/// remaining input before allocating, requires each placeholder index to
-/// resolve exactly once, and rejects trailing bytes.
-pub const SNAPSHOT_BINARY_FORMAT_VERSION: u32 = 3;
-
-/// Leading magic of a binary (v3) snapshot. No JSON document can start
-/// with these bytes, so the two forms are distinguished by sniffing.
+/// Leading magic of every snapshot.
 const BINARY_MAGIC: [u8; 8] = *b"CERLSNAP";
 
 /// Placeholder key that marks a hoisted float array in the meta document.
 const PAYLOAD_KEY: &str = "$floats";
 
-/// Section tags of the binary container.
+/// Section tags of the container: meta comes first, payload second.
 const SECTION_META: u32 = 1;
 const SECTION_PAYLOAD: u32 = 2;
 
-/// Float encoding of a binary snapshot's payload section.
+/// Container bytes before the first section body: magic, version,
+/// payload kind, reserved bytes, section count, two table entries.
+const HEADER_LEN: usize = 8 + 4 + 1 + 3 + 4 + 2 * 12;
+
+/// Float encoding of a snapshot container's payload section.
 ///
 /// `F64` is lossless: the decoded snapshot is bitwise identical to the
 /// captured one. `F32` narrows every model/memory float to `f32` — about
@@ -697,8 +672,6 @@ pub(crate) struct CfrState {
 /// Complete, versioned state of a continual estimator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelSnapshot {
-    /// Document layout version; see [`SNAPSHOT_FORMAT_VERSION`].
-    pub format_version: u32,
     /// Base seed (stage RNG streams derive from it, so a restored model
     /// continues training exactly as the original would have).
     pub seed: u64,
@@ -729,7 +702,6 @@ impl ModelSnapshot {
         memory: Option<&Memory>,
     ) -> Self {
         Self {
-            format_version: SNAPSHOT_FORMAT_VERSION,
             seed,
             stage,
             config: config.clone(),
@@ -753,201 +725,33 @@ impl ModelSnapshot {
         self
     }
 
-    /// Serialize to the versioned JSON byte format (format v4,
-    /// [`SNAPSHOT_FORMAT_VERSION`]).
-    pub fn to_bytes(&self) -> Result<Vec<u8>, CerlError> {
-        serde_json::to_vec(self).map_err(|e| malformed(e.to_string()))
-    }
-
-    /// Serialize to the compact binary container (format v3; see
-    /// [`SNAPSHOT_BINARY_FORMAT_VERSION`] for the wire layout).
+    /// Serialize to the snapshot container (see the [module docs](self)
+    /// for the layout).
     ///
     /// Every float array under the snapshot's `model` and `memory` fields
     /// moves into a raw little-endian payload section, encoded per
     /// `payload` ([`SnapshotPayload::F64`] is bitwise lossless;
     /// [`SnapshotPayload::F32`] halves the payload for f32-mode serving
     /// replicas). The structural remainder — configuration, wiring,
-    /// shard topology — stays as a small embedded JSON document, so the
-    /// binary format inherits the JSON schema's evolution story.
+    /// shard topology — stays as a small embedded JSON document.
     /// [`ModelSnapshot::from_bytes`] reads the result back.
     pub fn to_binary_bytes(&self, payload: SnapshotPayload) -> Result<Vec<u8>, CerlError> {
-        let mut doc = Serialize::serialize(self);
-        let mut arrays: Vec<Vec<f64>> = Vec::new();
-        if let Value::Object(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "model" || key == "memory" {
-                    hoist_float_arrays(value, &mut arrays);
-                }
-            }
-        }
-        let meta = serde_json::to_vec(&doc).map_err(|e| malformed(e.to_string()))?;
-
-        let array_count = u32::try_from(arrays.len())
-            .map_err(|_| malformed("too many float arrays for the payload section"))?;
-        let mut payload_body = Vec::new();
-        payload_body.extend_from_slice(&array_count.to_le_bytes());
-        for arr in &arrays {
-            payload_body.extend_from_slice(&(arr.len() as u64).to_le_bytes());
-            match payload {
-                SnapshotPayload::F64 => {
-                    for &v in arr {
-                        payload_body.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                SnapshotPayload::F32 => {
-                    for &v in arr {
-                        payload_body.extend_from_slice(&(v as f32).to_le_bytes());
-                    }
-                }
-            }
-        }
-
-        let mut out = Vec::with_capacity(16 + 2 * 12 + meta.len() + payload_body.len());
-        out.extend_from_slice(&BINARY_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_BINARY_FORMAT_VERSION.to_le_bytes());
-        out.push(match payload {
-            SnapshotPayload::F64 => 0,
-            SnapshotPayload::F32 => 1,
-        });
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&2u32.to_le_bytes());
-        for (tag, body) in [(SECTION_META, &meta), (SECTION_PAYLOAD, &payload_body)] {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        }
-        out.extend_from_slice(&meta);
-        out.extend_from_slice(&payload_body);
-        Ok(out)
+        encode_container(Serialize::serialize(self), payload)
     }
 
-    /// Parse from either versioned byte format: the binary v3 container
-    /// (recognized by its leading magic) or a JSON document (format
-    /// versions 1, 2 and 4). A v1 document predates the shard routing
-    /// fields, which restore as `None`; a v2 document's single-shard
-    /// assignments restore as one-replica sets.
+    /// Parse the snapshot container written by
+    /// [`ModelSnapshot::to_binary_bytes`].
     ///
-    /// The version field is checked *before* the rest of the document is
-    /// interpreted, so a newer-format snapshot yields
-    /// [`SnapshotError::UnsupportedVersion`] rather than a confusing parse
-    /// error about fields that were added or removed later. Parsing checks
-    /// format concerns only; semantic consistency (network wiring,
-    /// parameter shapes, scaler dimensions) is validated once, when a
-    /// model is built from the snapshot (`into_cerl` via
+    /// The version field is checked *before* the rest of the container
+    /// is interpreted, so bytes of any other version yield
+    /// [`SnapshotError::UnsupportedVersion`]; bytes without the container
+    /// magic (a JSON document, say) yield [`SnapshotError::Malformed`].
+    /// Parsing checks format concerns only; semantic consistency (network
+    /// wiring, parameter shapes, scaler dimensions) is validated once,
+    /// when a model is built from the snapshot (`into_cerl` via
     /// [`Cerl::from_snapshot`] or `CerlEngine::load_bytes`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CerlError> {
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return Self::from_binary(bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|e| malformed(format!("not UTF-8: {e}")))?;
-        let value = serde_json::parse(text).map_err(|e| malformed(e.to_string()))?;
-        Self::from_document(&value)
-    }
-
-    /// Decode a parsed JSON document, dispatching on its format version.
-    fn from_document(value: &Value) -> Result<Self, CerlError> {
-        let fields = value
-            .as_object()
-            .ok_or_else(|| malformed("top level is not an object"))?;
-        let format_version: u32 =
-            serde::field(fields, "format_version").map_err(|e| malformed(e.to_string()))?;
-        match format_version {
-            // v1 predates the shard routing fields; upgrade the document
-            // in place so the derived deserializer sees the v4 shape.
-            1 => {
-                let mut fields = fields.to_vec();
-                for key in ["shard_map", "shard_index"] {
-                    if !fields.iter().any(|(k, _)| k == key) {
-                        fields.push((key.to_string(), Value::Null));
-                    }
-                }
-                Self::deserialize(&Value::Object(fields)).map_err(|e| malformed(e.to_string()))
-            }
-            // v2 carried one `shard` per assignment; upgrade each entry
-            // to a one-replica set so the v4 deserializer reads it.
-            2 => {
-                let mut fields = fields.to_vec();
-                for (key, field_value) in fields.iter_mut() {
-                    if key == "shard_map" {
-                        upgrade_v2_shard_map(field_value)?;
-                    }
-                }
-                Self::deserialize(&Value::Object(fields)).map_err(|e| malformed(e.to_string()))
-            }
-            SNAPSHOT_FORMAT_VERSION => {
-                Self::deserialize(value).map_err(|e| malformed(e.to_string()))
-            }
-            other => Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion {
-                found: other,
-                supported: SNAPSHOT_FORMAT_VERSION,
-            })),
-        }
-    }
-
-    /// Decode the binary v3 container. Every read is bounds-checked; any
-    /// deviation from the documented layout is [`SnapshotError::Malformed`].
-    fn from_binary(bytes: &[u8]) -> Result<Self, CerlError> {
-        let mut r = ByteReader::new(bytes);
-        r.take(BINARY_MAGIC.len())?; // magic, verified by the caller's sniff
-        let version = r.u32()?;
-        if version != SNAPSHOT_BINARY_FORMAT_VERSION {
-            return Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_BINARY_FORMAT_VERSION,
-            }));
-        }
-        let payload = match r.u8()? {
-            0 => SnapshotPayload::F64,
-            1 => SnapshotPayload::F32,
-            other => return Err(malformed(format!("unknown payload kind {other}"))),
-        };
-        r.take(3)?; // reserved
-        let section_count = r.u32()?;
-        // Each table entry costs 12 bytes; bound the count by what the
-        // input can physically hold before allocating the table.
-        if section_count as usize > r.remaining() / 12 {
-            return Err(malformed(format!(
-                "section table claims {section_count} entries"
-            )));
-        }
-        let mut table = Vec::with_capacity(section_count as usize);
-        for _ in 0..section_count {
-            let tag = r.u32()?;
-            let len = usize::try_from(r.u64()?)
-                .map_err(|_| malformed("section length overflows usize"))?;
-            table.push((tag, len));
-        }
-        let mut meta: Option<&[u8]> = None;
-        let mut payload_body: Option<&[u8]> = None;
-        for (tag, len) in table {
-            let body = r.take(len)?;
-            match tag {
-                SECTION_META => meta = Some(body),
-                SECTION_PAYLOAD => payload_body = Some(body),
-                // Unknown sections are skipped: a future writer may add
-                // sections without breaking this reader.
-                _ => {}
-            }
-        }
-        if r.remaining() != 0 {
-            return Err(malformed(format!(
-                "{} trailing bytes after the last section",
-                r.remaining()
-            )));
-        }
-        let meta = meta.ok_or_else(|| malformed("missing meta section"))?;
-        let payload_body = payload_body.ok_or_else(|| malformed("missing payload section"))?;
-
-        let mut arrays = decode_payload_arrays(payload_body, payload)?;
-        let text = std::str::from_utf8(meta)
-            .map_err(|e| malformed(format!("meta section is not UTF-8: {e}")))?;
-        let mut value = serde_json::parse(text).map_err(|e| malformed(e.to_string()))?;
-        restore_float_arrays(&mut value, &mut arrays)?;
-        if arrays.iter().any(Option::is_some) {
-            return Err(malformed(
-                "payload contains arrays the meta document never references",
-            ));
-        }
-        Self::from_document(&value)
+        Self::deserialize(&decode_container(bytes)?).map_err(|e| malformed(e.to_string()))
     }
 
     /// Cross-check internal consistency: configuration sanity, network
@@ -1069,36 +873,117 @@ fn malformed(reason: impl Into<String>) -> CerlError {
     CerlError::Snapshot(SnapshotError::Malformed(reason.into()))
 }
 
-/// Upgrade a format-v2 `shard_map` document value in place: each
-/// assignment's `"shard": M` entry becomes `"replicas": [M]`. `Null`
-/// (no map attached) passes through; any other shape is malformed.
-fn upgrade_v2_shard_map(value: &mut Value) -> Result<(), CerlError> {
-    let Value::Object(fields) = value else {
-        if matches!(value, Value::Null) {
-            return Ok(());
+/// Write `doc` as a container: hoist the float arrays under its `model`
+/// and `memory` fields into the payload section, encoded per `payload`.
+fn encode_container(mut doc: Value, payload: SnapshotPayload) -> Result<Vec<u8>, CerlError> {
+    let mut arrays: Vec<Vec<f64>> = Vec::new();
+    if let Value::Object(fields) = &mut doc {
+        for (key, value) in fields.iter_mut() {
+            if key == "model" || key == "memory" {
+                hoist_float_arrays(value, &mut arrays);
+            }
         }
-        return Err(malformed("v2 shard_map is neither an object nor null"));
-    };
-    for (key, field_value) in fields.iter_mut() {
-        if key != "assignments" {
-            continue;
-        }
-        let Value::Array(items) = field_value else {
-            return Err(malformed("v2 shard_map assignments is not an array"));
-        };
-        for item in items {
-            let Value::Object(entry) = item else {
-                return Err(malformed("v2 shard assignment is not an object"));
-            };
-            for (k, v) in entry.iter_mut() {
-                if k == "shard" {
-                    *k = "replicas".to_string();
-                    *v = Value::Array(vec![v.clone()]);
+    }
+    let meta = serde_json::to_vec(&doc).map_err(|e| malformed(e.to_string()))?;
+
+    let array_count = u32::try_from(arrays.len())
+        .map_err(|_| malformed("too many float arrays for the payload section"))?;
+    let mut payload_body = Vec::new();
+    payload_body.extend_from_slice(&array_count.to_le_bytes());
+    for arr in &arrays {
+        payload_body.extend_from_slice(&(arr.len() as u64).to_le_bytes());
+        match payload {
+            SnapshotPayload::F64 => {
+                for &v in arr {
+                    payload_body.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            SnapshotPayload::F32 => {
+                for &v in arr {
+                    payload_body.extend_from_slice(&(v as f32).to_le_bytes());
                 }
             }
         }
     }
-    Ok(())
+
+    let mut out = Vec::with_capacity(HEADER_LEN + meta.len() + payload_body.len());
+    out.extend_from_slice(&BINARY_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    out.push(match payload {
+        SnapshotPayload::F64 => 0,
+        SnapshotPayload::F32 => 1,
+    });
+    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&2u32.to_le_bytes());
+    for (tag, body) in [(SECTION_META, &meta), (SECTION_PAYLOAD, &payload_body)] {
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    }
+    out.extend_from_slice(&meta);
+    out.extend_from_slice(&payload_body);
+    Ok(out)
+}
+
+/// Read a container back into the snapshot's JSON document, floats
+/// restored. Every read is bounds-checked; any deviation from the
+/// documented layout is [`SnapshotError::Malformed`].
+fn decode_container(bytes: &[u8]) -> Result<Value, CerlError> {
+    let mut r = ByteReader::new(bytes);
+    if r.take(BINARY_MAGIC.len()).ok() != Some(&BINARY_MAGIC[..]) {
+        return Err(malformed("not a snapshot container (no CERLSNAP magic)"));
+    }
+    let version = r.u32()?;
+    if version != SNAPSHOT_FORMAT_VERSION {
+        return Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion {
+            found: version,
+            supported: SNAPSHOT_FORMAT_VERSION,
+        }));
+    }
+    let payload = match r.u8()? {
+        0 => SnapshotPayload::F64,
+        1 => SnapshotPayload::F32,
+        other => return Err(malformed(format!("unknown payload kind {other}"))),
+    };
+    if r.take(3)? != [0u8; 3] {
+        return Err(malformed("reserved header bytes are not zero"));
+    }
+    let section_count = r.u32()?;
+    if section_count != 2 {
+        return Err(malformed(format!(
+            "section table has {section_count} entries, expected meta then payload"
+        )));
+    }
+    let mut section = |tag: u32| {
+        let found = r.u32()?;
+        if found != tag {
+            return Err(malformed(format!(
+                "section tag {found} where tag {tag} belongs"
+            )));
+        }
+        usize::try_from(r.u64()?).map_err(|_| malformed("section length overflows usize"))
+    };
+    let meta_len = section(SECTION_META)?;
+    let payload_len = section(SECTION_PAYLOAD)?;
+    let meta = r.take(meta_len)?;
+    let payload_body = r.take(payload_len)?;
+    if r.remaining() != 0 {
+        return Err(malformed(format!(
+            "{} trailing bytes after the last section",
+            r.remaining()
+        )));
+    }
+
+    let mut arrays = decode_payload_arrays(payload_body, payload)?;
+    let text = std::str::from_utf8(meta)
+        .map_err(|e| malformed(format!("meta section is not UTF-8: {e}")))?;
+    let mut value = serde_json::parse(text).map_err(|e| malformed(e.to_string()))?;
+    restore_float_arrays(&mut value, &mut arrays)?;
+    if arrays.iter().any(Option::is_some) {
+        return Err(malformed(
+            "payload contains arrays the meta document never references",
+        ));
+    }
+    Ok(value)
 }
 
 /// Bounds-checked cursor over untrusted snapshot bytes: every read
@@ -1303,10 +1188,48 @@ mod tests {
         (cerl, stream)
     }
 
+    /// The lossless (F64-payload) container of `snapshot`.
+    fn container(snapshot: &ModelSnapshot) -> Vec<u8> {
+        snapshot.to_binary_bytes(SnapshotPayload::F64).unwrap()
+    }
+
+    /// Re-wrap a container after `edit` doctored its document (floats
+    /// restored, so an edit may touch any field): how these tests reach
+    /// the decoder with documents the typed API cannot build.
+    fn doctor(bytes: &[u8], edit: impl FnOnce(&mut Value)) -> Vec<u8> {
+        let mut doc = decode_container(bytes).unwrap();
+        edit(&mut doc);
+        encode_container(doc, SnapshotPayload::F64).unwrap()
+    }
+
+    /// A version-5, f64-payload container with a hand-written section
+    /// table: one `(tag, body)` entry per section, bodies in table order.
+    fn assemble(sections: &[(u32, &[u8])]) -> Vec<u8> {
+        let mut out = BINARY_MAGIC.to_vec();
+        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&[0u8; 4]); // payload kind f64, reserved
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        for (tag, body) in sections {
+            out.extend_from_slice(&tag.to_le_bytes());
+            out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        }
+        for (_, body) in sections {
+            out.extend_from_slice(body);
+        }
+        out
+    }
+
+    fn is_malformed(bytes: &[u8]) -> bool {
+        matches!(
+            ModelSnapshot::from_bytes(bytes),
+            Err(CerlError::Snapshot(SnapshotError::Malformed(_)))
+        )
+    }
+
     #[test]
     fn snapshot_roundtrips_bitwise_identical_predictions() {
         let (cerl, stream) = trained_cerl(2);
-        let bytes = cerl.to_snapshot().to_bytes().unwrap();
+        let bytes = container(&cerl.to_snapshot());
         let restored = Cerl::from_snapshot(ModelSnapshot::from_bytes(&bytes).unwrap()).unwrap();
         for d in 0..2 {
             let x = &stream.domain(d).test.x;
@@ -1327,7 +1250,7 @@ mod tests {
     #[test]
     fn restored_model_continues_observing() {
         let (cerl, stream) = trained_cerl(1);
-        let bytes = cerl.to_snapshot().to_bytes().unwrap();
+        let bytes = container(&cerl.to_snapshot());
 
         // "Fresh process": rebuild purely from bytes, then continue.
         let mut restored = Cerl::from_snapshot(ModelSnapshot::from_bytes(&bytes).unwrap()).unwrap();
@@ -1442,7 +1365,7 @@ mod tests {
         let reject = |map: ShardMap, what: &str| {
             let mut snapshot = cerl.to_snapshot();
             snapshot.shard_map = Some(map);
-            let parsed = ModelSnapshot::from_bytes(&snapshot.to_bytes().unwrap()).unwrap();
+            let parsed = ModelSnapshot::from_bytes(&container(&snapshot)).unwrap();
             match Cerl::from_snapshot(parsed) {
                 Err(CerlError::InvalidConfig { field, .. }) => {
                     assert_eq!(field, "shard_map", "{what}")
@@ -1488,56 +1411,6 @@ mod tests {
             },
             "replica id >= fleet size",
         );
-    }
-
-    #[test]
-    fn v2_json_documents_with_single_shard_assignments_still_load() {
-        let (cerl, stream) = trained_cerl(1);
-        let map = ShardMap::from_pairs(3, &[(0, 0), (1, 2)]).unwrap();
-        let bytes = cerl
-            .to_snapshot()
-            .with_shard_map(map.clone())
-            .with_shard_index(0)
-            .to_bytes()
-            .unwrap();
-        // Rewrite the document to the v2 shape: one `shard` per
-        // assignment instead of a `replicas` array.
-        let mut value = serde_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        fn downgrade(v: &mut serde::Value) {
-            if let serde::Value::Object(fields) = v {
-                for (k, val) in fields.iter_mut() {
-                    if k == "replicas" {
-                        let shard = match val {
-                            serde::Value::Array(items) => items[0].clone(),
-                            _ => panic!("replicas is an array"),
-                        };
-                        *k = "shard".to_string();
-                        *val = shard;
-                    } else {
-                        downgrade(val);
-                    }
-                }
-            } else if let serde::Value::Array(items) = v {
-                for item in items.iter_mut() {
-                    downgrade(item);
-                }
-            }
-        }
-        downgrade(&mut value);
-        if let serde::Value::Object(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if k == "format_version" {
-                    *v = serde::Value::UInt(2);
-                }
-            }
-        }
-        let v2 = serde_json::to_string(&value).unwrap();
-        let parsed = ModelSnapshot::from_bytes(v2.as_bytes()).unwrap();
-        assert_eq!(parsed.shard_map, Some(map));
-        assert_eq!(parsed.shard_index, Some(0));
-        let restored = Cerl::from_snapshot(parsed).unwrap();
-        let x = &stream.domain(0).test.x;
-        assert_eq!(restored.predict_ite(x), cerl.predict_ite(x));
     }
 
     #[test]
@@ -1589,13 +1462,9 @@ mod tests {
         assert!(map.merge(&conflicting).is_err());
         assert_eq!(map.merge(&map).unwrap(), map);
 
-        // A rebalanced topology round-trips through format-v2 bytes.
+        // A rebalanced topology round-trips through the container.
         let (cerl, _) = trained_cerl(1);
-        let bytes = cerl
-            .to_snapshot()
-            .with_shard_map(moved.clone())
-            .to_bytes()
-            .unwrap();
+        let bytes = container(&cerl.to_snapshot().with_shard_map(moved.clone()));
         let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(restored.shard_map, Some(moved));
     }
@@ -1671,11 +1540,7 @@ mod tests {
     fn shard_map_roundtrips_in_snapshot_and_is_validated_on_load() {
         let (cerl, _) = trained_cerl(1);
         let map = ShardMap::from_pairs(2, &[(0, 0), (1, 1)]).unwrap();
-        let bytes = cerl
-            .to_snapshot()
-            .with_shard_map(map.clone())
-            .to_bytes()
-            .unwrap();
+        let bytes = container(&cerl.to_snapshot().with_shard_map(map.clone()));
         let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(restored.shard_map.as_ref(), Some(&map));
         // The restored map still builds a working estimator.
@@ -1691,7 +1556,7 @@ mod tests {
                 replicas: ReplicaSet { shards: vec![5] },
             }],
         });
-        let parsed = ModelSnapshot::from_bytes(&snapshot.to_bytes().unwrap()).unwrap();
+        let parsed = ModelSnapshot::from_bytes(&container(&snapshot)).unwrap();
         match Cerl::from_snapshot(parsed) {
             Err(CerlError::InvalidConfig { field, .. }) => assert_eq!(field, "shard_map"),
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
@@ -1701,9 +1566,8 @@ mod tests {
     #[test]
     fn wrong_format_version_is_a_typed_error() {
         let (cerl, _) = trained_cerl(1);
-        let mut snapshot = cerl.to_snapshot();
-        snapshot.format_version = SNAPSHOT_FORMAT_VERSION + 1;
-        let bytes = snapshot.to_bytes().unwrap();
+        let mut bytes = container(&cerl.to_snapshot());
+        bytes[8..12].copy_from_slice(&(SNAPSHOT_FORMAT_VERSION + 1).to_le_bytes());
         match ModelSnapshot::from_bytes(&bytes) {
             Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
                 assert_eq!(found, SNAPSHOT_FORMAT_VERSION + 1);
@@ -1717,11 +1581,12 @@ mod tests {
     fn binary_snapshot_roundtrips_bitwise_and_reencodes_identically() {
         let (cerl, stream) = trained_cerl(2);
         let snapshot = cerl.to_snapshot();
-        let json = snapshot.to_bytes().unwrap();
+        // The same document as plain JSON text, floats inline.
+        let json = serde_json::to_vec(&snapshot).unwrap();
         let bin = snapshot.to_binary_bytes(SnapshotPayload::F64).unwrap();
         assert!(
             bin.len() < json.len(),
-            "binary {} must beat JSON {}",
+            "container {} must beat the document's JSON text {}",
             bin.len(),
             json.len()
         );
@@ -1750,11 +1615,11 @@ mod tests {
     fn f32_payload_is_at_most_a_quarter_of_json_and_loads() {
         let (cerl, stream) = trained_cerl(2);
         let snapshot = cerl.to_snapshot();
-        let json = snapshot.to_bytes().unwrap();
+        let json = serde_json::to_vec(&snapshot).unwrap();
         let bin = snapshot.to_binary_bytes(SnapshotPayload::F32).unwrap();
         assert!(
             bin.len() * 4 <= json.len(),
-            "f32 binary {} must be at most 1/4 of JSON {}",
+            "f32 container {} must be at most 1/4 of the document's JSON text {}",
             bin.len(),
             json.len()
         );
@@ -1794,30 +1659,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_json_documents_without_shard_fields_still_load() {
-        let (cerl, stream) = trained_cerl(1);
-        let bytes = cerl.to_snapshot().to_bytes().unwrap();
-        // Rewrite the document to the v1 shape: no shard routing fields.
-        let mut value = serde_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(k, _)| k != "shard_map" && k != "shard_index");
-            for (k, v) in fields.iter_mut() {
-                if k == "format_version" {
-                    *v = serde::Value::UInt(1);
-                }
-            }
-        }
-        let v1 = serde_json::to_string(&value).unwrap();
-        let parsed = ModelSnapshot::from_bytes(v1.as_bytes()).unwrap();
-        assert_eq!(parsed.format_version, 1);
-        assert_eq!(parsed.shard_map, None);
-        assert_eq!(parsed.shard_index, None);
-        let restored = Cerl::from_snapshot(parsed).unwrap();
-        let x = &stream.domain(0).test.x;
-        assert_eq!(restored.predict_ite(x), cerl.predict_ite(x));
-    }
-
-    #[test]
     fn truncated_or_doctored_binary_is_malformed_not_a_panic() {
         let (cerl, _) = trained_cerl(1);
         let bin = cerl
@@ -1834,29 +1675,22 @@ mod tests {
                 other => panic!("cut {cut}: expected Malformed, got {:?}", other.map(|_| ())),
             }
         }
-        let malformed = |bytes: &[u8]| {
-            matches!(
-                ModelSnapshot::from_bytes(bytes),
-                Err(CerlError::Snapshot(SnapshotError::Malformed(_)))
-            )
-        };
-
         // Trailing bytes after the last section.
         let mut extended = bin.clone();
         extended.extend_from_slice(&[0u8; 5]);
-        assert!(malformed(&extended), "trailing bytes must be rejected");
+        assert!(is_malformed(&extended), "trailing bytes must be rejected");
 
         // Unknown payload kind.
         let mut kind = bin.clone();
         kind[12] = 9;
-        assert!(malformed(&kind), "unknown payload kind must be rejected");
+        assert!(is_malformed(&kind), "unknown payload kind must be rejected");
 
         // A section length far past the end of the input must fail fast
         // (bounds are checked before any allocation).
         let mut huge = bin.clone();
         huge[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(
-            malformed(&huge),
+            is_malformed(&huge),
             "oversized section length must be rejected"
         );
 
@@ -1864,23 +1698,86 @@ mod tests {
         // allocation, too.
         let mut many = bin.clone();
         many[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(malformed(&many), "oversized section count must be rejected");
+        assert!(
+            is_malformed(&many),
+            "oversized section count must be rejected"
+        );
+
+        // Reserved header bytes must be zero.
+        for at in 13..16 {
+            let mut reserved = bin.clone();
+            reserved[at] = 1;
+            assert!(is_malformed(&reserved), "reserved byte {at} must be zero");
+        }
+    }
+
+    #[test]
+    fn section_table_is_exactly_meta_then_payload() {
+        let (cerl, _) = trained_cerl(1);
+        let bin = container(&cerl.to_snapshot());
+        let meta_len =
+            usize::try_from(u64::from_le_bytes(bin[24..32].try_into().unwrap())).unwrap();
+        let (meta, payload) = bin[HEADER_LEN..].split_at(meta_len);
+        let (m, p) = (SECTION_META, SECTION_PAYLOAD);
+        assert_eq!(
+            assemble(&[(m, meta), (p, payload)]),
+            bin,
+            "layout assumption"
+        );
+
+        // A doubled meta section must not let the last one win.
+        assert!(
+            is_malformed(&assemble(&[(m, meta), (m, meta), (p, payload)])),
+            "a doubled meta section must be rejected"
+        );
+        for (what, table) in [
+            (
+                "doubled payload",
+                vec![(m, meta), (p, payload), (p, payload)],
+            ),
+            ("swapped sections", vec![(p, payload), (m, meta)]),
+            (
+                "unknown trailing section",
+                vec![(m, meta), (p, payload), (7, &b"x"[..])],
+            ),
+            (
+                "unknown leading section",
+                vec![(7, &b"x"[..]), (m, meta), (p, payload)],
+            ),
+            ("missing payload", vec![(m, meta)]),
+            ("missing meta", vec![(p, payload)]),
+            ("no sections", vec![]),
+        ] {
+            assert!(is_malformed(&assemble(&table)), "{what} must be rejected");
+        }
+    }
+
+    #[test]
+    fn json_snapshot_documents_are_malformed_not_upgraded() {
+        // The document as plain JSON text (what format versions 1, 2 and
+        // 4 were) is not a container.
+        let (cerl, _) = trained_cerl(1);
+        let json = serde_json::to_vec(&cerl.to_snapshot()).unwrap();
+        assert!(is_malformed(&json), "a JSON document must be Malformed");
     }
 
     #[test]
     fn unknown_binary_version_is_a_typed_error() {
+        // Version 3 is the earlier container; 9 is from the future.
         let (cerl, _) = trained_cerl(1);
-        let mut bin = cerl
-            .to_snapshot()
-            .to_binary_bytes(SnapshotPayload::F64)
-            .unwrap();
-        bin[8..12].copy_from_slice(&9u32.to_le_bytes());
-        match ModelSnapshot::from_bytes(&bin) {
-            Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
-                assert_eq!(found, 9);
-                assert_eq!(supported, SNAPSHOT_BINARY_FORMAT_VERSION);
+        let mut bin = container(&cerl.to_snapshot());
+        for version in [3u32, 9] {
+            bin[8..12].copy_from_slice(&version.to_le_bytes());
+            match ModelSnapshot::from_bytes(&bin) {
+                Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion {
+                    found,
+                    supported,
+                })) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, 5);
+                }
+                other => panic!("expected UnsupportedVersion, got {:?}", other.map(|_| ())),
             }
-            other => panic!("expected UnsupportedVersion, got {:?}", other.map(|_| ())),
         }
     }
 
@@ -1897,7 +1794,6 @@ mod tests {
     #[test]
     fn missing_output_layer_is_rejected() {
         let (cerl, _) = trained_cerl(1);
-        let bytes = cerl.to_snapshot().to_bytes().unwrap();
         // Null out both output layers in the document itself (the typed
         // ModelSnapshot cannot express this; a hostile document can).
         fn null_field(v: &mut serde::Value, name: &str) {
@@ -1911,11 +1807,11 @@ mod tests {
                 }
             }
         }
-        let mut value = serde_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        null_field(&mut value, "out_cosine");
-        null_field(&mut value, "out_plain");
-        let doctored = serde_json::to_string(&value).unwrap();
-        let parsed = ModelSnapshot::from_bytes(doctored.as_bytes()).expect("format is valid");
+        let doctored = doctor(&container(&cerl.to_snapshot()), |value| {
+            null_field(value, "out_cosine");
+            null_field(value, "out_plain");
+        });
+        let parsed = ModelSnapshot::from_bytes(&doctored).expect("format is valid");
         match Cerl::from_snapshot(parsed) {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
                 assert!(reason.contains("output layer"), "{reason}");
@@ -1928,7 +1824,6 @@ mod tests {
     #[test]
     fn doctored_parameter_shapes_fail_closed_not_panic() {
         let (cerl, _) = trained_cerl(1);
-        let bytes = cerl.to_snapshot().to_bytes().unwrap();
         // Shrink every parameter matrix to 1x1 — ids stay valid, shapes no
         // longer chain. Loading must return a typed error, not panic.
         fn shrink_matrices(v: &mut serde::Value) {
@@ -1955,10 +1850,8 @@ mod tests {
                 }
             }
         }
-        let mut value = serde_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
-        shrink_matrices(&mut value);
-        let doctored = serde_json::to_string(&value).unwrap();
-        let parsed = ModelSnapshot::from_bytes(doctored.as_bytes()).expect("format is valid");
+        let doctored = doctor(&container(&cerl.to_snapshot()), shrink_matrices);
+        let parsed = ModelSnapshot::from_bytes(&doctored).expect("format is valid");
         match Cerl::from_snapshot(parsed) {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(_))) => {}
             Err(other) => panic!("expected Incompatible, got {other:?}"),
@@ -1978,7 +1871,7 @@ mod tests {
             y: vec![0.0; 2],
             t: vec![true; 4],
         });
-        let parsed = ModelSnapshot::from_bytes(&snapshot.to_bytes().unwrap()).unwrap();
+        let parsed = ModelSnapshot::from_bytes(&container(&snapshot)).unwrap();
         match Cerl::from_snapshot(parsed) {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
                 assert!(reason.contains("out of sync"), "{reason}");
@@ -1998,8 +1891,7 @@ mod tests {
             vec![0.0; 4],
             vec![true, false, true, false],
         ));
-        let bytes = snapshot.to_bytes().unwrap();
-        let parsed = ModelSnapshot::from_bytes(&bytes).expect("format is valid");
+        let parsed = ModelSnapshot::from_bytes(&container(&snapshot)).expect("format is valid");
         match Cerl::from_snapshot(parsed) {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(_))) => {}
             Err(other) => panic!("expected Incompatible, got {other:?}"),

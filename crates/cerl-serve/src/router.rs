@@ -39,10 +39,9 @@
 //!   [`restore_replica`](ShardRouter::restore_replica) /
 //!   [`remove_replica`](ShardRouter::remove_replica) take a replica out
 //!   of rotation reversibly, then for good.
-//! * **Independent hot swaps.** [`ShardRouter::swap_shard_engine`] /
-//!   [`ShardRouter::swap_shard_snapshot_bytes`] publish a new version on
-//!   one shard (with the warm-up probe of
-//!   [`swap_engine_warm`](ServingEngine::swap_engine_warm) — a broken
+//! * **Independent hot swaps.** `router.shard(i)?.publish(engine)`
+//!   publishes a new version on one shard through
+//!   [`ServingEngine::publish`] (with its warm-up probe — a broken
 //!   successor is never published) while every other shard keeps serving
 //!   undisturbed.
 //! * **Cross-shard queries.** [`ShardRouter::predict_ite_scatter`]
@@ -57,8 +56,7 @@
 //!   same rows (property-tested in `tests/property_based.rs`).
 //! * **Zero-downtime rebalancing.** [`ShardRouter::begin_rebalance`]
 //!   stages a successor engine for the destination shard (probed at
-//!   staging time — see
-//!   [`probe_successor`](ServingEngine::probe_successor)) and opens the
+//!   staging time — see [`ServingEngine::probe`]) and opens the
 //!   *dual-route window*: the routing map is untouched, so reads of the
 //!   moving domain keep landing on the source shard, which still holds
 //!   it. [`ShardRouter::commit_rebalance`] publishes the staged engine on
@@ -82,7 +80,7 @@ use crate::scheduler::{BatchConfig, BatchScheduler, ResponseHandle, ServeMetrics
 use cerl_core::engine::CerlEngine;
 use cerl_core::error::CerlError;
 use cerl_core::serving::ServingEngine;
-use cerl_core::snapshot::{ModelSnapshot, ReplicaSet, ShardMap};
+use cerl_core::snapshot::{ModelSnapshot, ReplicaSet, ShardMap, SnapshotPayload};
 use cerl_math::Matrix;
 use cerl_obs::{DomainCounters, MetricsRegistry, Stage, TraceSpan};
 use std::future::Future;
@@ -772,7 +770,7 @@ impl ShardRouter {
                 shard: to_shard,
             });
         }
-        ServingEngine::probe_successor(&successor).map_err(ServeError::Engine)?;
+        ServingEngine::probe(&successor).map_err(ServeError::Engine)?;
         *pending = Some(PendingChange::Move {
             domain,
             from: from_shard,
@@ -816,7 +814,7 @@ impl ShardRouter {
         if replicas.contains(shard) {
             return Err(ServeError::ReplicaAlreadyServing { domain, shard });
         }
-        ServingEngine::probe_successor(&successor).map_err(ServeError::Engine)?;
+        ServingEngine::probe(&successor).map_err(ServeError::Engine)?;
         *pending = Some(PendingChange::AddReplica {
             domain,
             shard,
@@ -911,18 +909,6 @@ impl ShardRouter {
             .clone()
     }
 
-    /// [`ShardRouter::begin_rebalance`] with the successor shipped as
-    /// snapshot bytes (parsed and validated before anything is staged).
-    pub fn begin_rebalance_snapshot_bytes(
-        &self,
-        domain: u64,
-        to_shard: usize,
-        bytes: &[u8],
-    ) -> Result<(), ServeError> {
-        let successor = CerlEngine::load_bytes(bytes).map_err(ServeError::Engine)?;
-        self.begin_rebalance(domain, to_shard, successor)
-    }
-
     /// Commit the staged rebalance; returns the destination shard's new
     /// engine version.
     ///
@@ -953,7 +939,7 @@ impl ShardRouter {
                 // fleet size before staging this change.
                 let version = self.shards[to]
                     .engine
-                    .swap_engine_warm(staged)
+                    .publish(staged)
                     .map_err(ServeError::Engine)?;
                 let flipped = self
                     .map()
@@ -971,7 +957,7 @@ impl ShardRouter {
                 // the fleet size before staging this change.
                 let version = self.shards[shard]
                     .engine
-                    .swap_engine_warm(staged)
+                    .publish(staged)
                     .map_err(ServeError::Engine)?;
                 let flipped = self
                     .map()
@@ -1025,23 +1011,10 @@ impl ShardRouter {
         }
     }
 
-    /// The (warm) hot-swap of one shard: probe `engine` with one batch,
-    /// then publish it as the shard's next version. Other shards are
-    /// untouched; a successor that cannot serve is never published.
-    pub fn swap_shard_engine(&self, shard: usize, engine: CerlEngine) -> Result<u64, ServeError> {
-        Ok(self.shard(shard)?.swap_engine_warm(engine)?)
-    }
-
-    /// Warm snapshot swap of one shard (replica bytes shipped from a
-    /// trainer): parsed, validated, and probed before the pointer moves.
-    pub fn swap_shard_snapshot_bytes(&self, shard: usize, bytes: &[u8]) -> Result<u64, ServeError> {
-        Ok(self.shard(shard)?.swap_snapshot_bytes_warm(bytes)?)
-    }
-
-    /// Snapshot bytes of one shard's current engine with the fleet's
-    /// shard map embedded — what a registry should store so a restoring
-    /// replica (or [`ShardRouter::from_snapshot_bytes`]) learns the
-    /// topology too.
+    /// Snapshot bytes (an F64-payload container, so lossless) of one
+    /// shard's current engine with the fleet's shard map embedded — what
+    /// a registry should store so a restoring replica (or
+    /// [`ShardRouter::from_snapshot_bytes`]) learns the topology too.
     pub fn shard_snapshot_bytes(&self, shard: usize) -> Result<Vec<u8>, ServeError> {
         let snapshot = self
             .shard(shard)?
@@ -1051,10 +1024,15 @@ impl ShardRouter {
             .map_err(ServeError::Engine)?
             .with_shard_map(self.map().as_ref().clone())
             .with_shard_index(shard);
-        snapshot.to_bytes().map_err(ServeError::Engine)
+        snapshot
+            .to_binary_bytes(SnapshotPayload::F64)
+            .map_err(ServeError::Engine)
     }
 
     /// Direct handle to one shard's serving engine.
+    /// `router.shard(i)?.publish(engine)` hot-swaps that shard alone
+    /// (warm-probed; a successor that cannot serve is never published),
+    /// and an unknown index is [`ServeError::UnknownShard`].
     pub fn shard(&self, shard: usize) -> Result<&Arc<ServingEngine>, ServeError> {
         Ok(&self.slot(shard)?.engine)
     }
@@ -1327,7 +1305,7 @@ mod tests {
                 .observe(&stream.domain(d).train, &stream.domain(d).val)
                 .unwrap();
         }
-        let version = router.swap_shard_engine(1, successor.clone()).unwrap();
+        let version = router.shard(1).unwrap().publish(successor.clone()).unwrap();
         assert_eq!(version, 2);
         assert_eq!(router.shard_versions(), vec![1, 2]);
 
@@ -1341,10 +1319,10 @@ mod tests {
 
         // A broken successor is rejected and nothing changes.
         let untrained = CerlEngineBuilder::new(quick_cfg()).build().unwrap();
-        assert!(router.swap_shard_engine(1, untrained).is_err());
+        assert!(router.shard(1).unwrap().publish(untrained).is_err());
         assert_eq!(router.shard_versions(), vec![1, 2]);
         assert!(matches!(
-            router.swap_shard_engine(7, successor),
+            router.shard(7).map(|_| ()),
             Err(ServeError::UnknownShard {
                 shard: 7,
                 shards: 2
@@ -1397,7 +1375,7 @@ mod tests {
             .unwrap()
             .current()
             .engine()
-            .save_bytes()
+            .save_bytes_binary(SnapshotPayload::F64)
             .unwrap();
         assert!(ShardRouter::from_snapshot_bytes(&[bare], None).is_err());
     }
@@ -1597,8 +1575,11 @@ mod tests {
         ));
 
         // The snapshot-bytes staging path stages (and aborts) too.
-        let bytes = references[1].save_bytes().unwrap();
-        router.begin_rebalance_snapshot_bytes(1, 1, &bytes).unwrap();
+        let bytes = references[1]
+            .save_bytes_binary(SnapshotPayload::F64)
+            .unwrap();
+        let staged = CerlEngine::load_bytes(&bytes).unwrap();
+        router.begin_rebalance(1, 1, staged).unwrap();
         assert_eq!(router.rebalance_in_progress(), Some((1, 0, 1)));
         router.abort_rebalance().unwrap();
     }

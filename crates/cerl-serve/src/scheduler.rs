@@ -1062,13 +1062,19 @@ mod tests {
 
     #[test]
     fn f32_version_batches_bitwise_identically_to_unbatched() {
+        use cerl_core::engine::CerlEngine;
         use cerl_core::precision::PrecisionMode;
+        use cerl_core::snapshot::SnapshotPayload;
         let stream = quick_stream(1);
         let serving = trained_serving(&stream, 1);
-        let bytes = serving.current().engine().save_bytes().unwrap();
-        serving
-            .swap_snapshot_bytes_with_precision(&bytes, PrecisionMode::F32)
+        let bytes = serving
+            .current()
+            .engine()
+            .save_bytes_binary(SnapshotPayload::F64)
             .unwrap();
+        let mut narrow = CerlEngine::load_bytes(&bytes).unwrap();
+        narrow.set_precision(PrecisionMode::F32).unwrap();
+        serving.publish(narrow).unwrap();
         let scheduler = BatchScheduler::new(
             Arc::clone(&serving),
             BatchConfig {

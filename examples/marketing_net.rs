@@ -280,7 +280,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ---- mid-traffic hot swap of city 1's shard ----
         std::thread::sleep(Duration::from_millis(80));
-        let version = router.swap_shard_engine(1, successor.clone())?;
+        let version = router.shard(1)?.publish(successor.clone())?;
         println!(
             "[{:>5.0} ms] city 1 hot-swapped to retrained engine (shard version {version})",
             started.elapsed().as_secs_f64() * 1e3

@@ -106,7 +106,7 @@ fn main() -> Result<(), ServeError> {
         // successor off to the side and warm-swap only that shard.
         let mut successor = router.shard(2)?.current().engine().clone();
         successor.observe(&stream.domain(3).train, &stream.domain(3).val)?;
-        let version = router.swap_shard_engine(2, successor)?;
+        let version = router.shard(2)?.publish(successor)?;
         println!("shard 2 warm-swapped to version {version} while shards 0 and 1 kept serving");
 
         // Let the clients observe the new version for a moment.

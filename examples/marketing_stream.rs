@@ -43,7 +43,7 @@ fn main() -> Result<(), CerlError> {
         // paper motivates: the serving process can restart (or the model
         // can move between machines) while raw history stays deleted.
         if d > 0 {
-            engine = CerlEngine::load_bytes(&engine.save_bytes()?)?;
+            engine = CerlEngine::load_bytes(&engine.save_bytes_binary(SnapshotPayload::F64)?)?;
         }
         engine.observe(&stream.domain(d).train, &stream.domain(d).val)?;
         ideal.try_observe(&stream.domain(d).train, &stream.domain(d).val)?;

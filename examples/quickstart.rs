@@ -52,7 +52,7 @@ fn main() -> Result<(), CerlError> {
 
     // A trained engine is a value you can persist and reload: predictions
     // after the round trip are bitwise identical.
-    let bytes = engine.save_bytes()?;
+    let bytes = engine.save_bytes_binary(SnapshotPayload::F64)?;
     let restored = CerlEngine::load_bytes(&bytes)?;
     let test = &stream.domain(0).test;
     assert_eq!(restored.predict_ite(&test.x)?, engine.predict_ite(&test.x)?);

@@ -31,8 +31,8 @@
 //! fallible builder validates the configuration, the covariate dimension
 //! is inferred from the first observed domain, every request path returns
 //! a typed [`CerlError`](prelude::CerlError) instead of panicking, and a
-//! trained estimator round-trips through versioned snapshot bytes — so a
-//! service can restart (or hot-swap replicas) without losing the model.
+//! trained estimator round-trips through a versioned snapshot container —
+//! so a service can restart (or hot-swap replicas) without losing the model.
 //!
 //! ```
 //! use cerl::prelude::*;
@@ -55,8 +55,9 @@
 //! let metrics = EffectMetrics::on_dataset(test, &engine.predict_ite(&test.x)?);
 //! assert!(metrics.sqrt_pehe.is_finite());
 //!
-//! // Persist across restarts / ship to another replica.
-//! let bytes = engine.save_bytes()?;
+//! // Persist across restarts / ship to another replica (an f64 payload
+//! // round-trips every weight bitwise).
+//! let bytes = engine.save_bytes_binary(SnapshotPayload::F64)?;
 //! let restored = CerlEngine::load_bytes(&bytes)?;
 //! assert_eq!(restored.predict_ite(&test.x)?, engine.predict_ite(&test.x)?);
 //! # Ok::<(), CerlError>(())
@@ -94,7 +95,7 @@
 //! # Ok::<(), CerlError>(())
 //! ```
 //!
-//! ## Raw speed: f32 serving and binary snapshots
+//! ## Raw speed: f32 serving and compact snapshots
 //!
 //! Training always runs in `f64`. A serving replica can opt into
 //! [`PrecisionMode::F32`](prelude::PrecisionMode): the trained weights
@@ -105,13 +106,15 @@
 //! counts, and restarts; switching modes changes rounding, never the
 //! contract.
 //!
-//! Snapshots have a compact binary form alongside JSON
-//! (`save_bytes_binary`): a sectioned little-endian container that
-//! stores the float payload as raw IEEE-754 values —
-//! [`SnapshotPayload::F32`](prelude::SnapshotPayload) narrows the
-//! payload to 4 bytes per weight, cutting fleet-restore and rebalance
-//! staging bytes ~4–5x. `load_bytes` sniffs the format, so both forms
-//! restore through the same call:
+//! Snapshots have one format (`save_bytes_binary`): a sectioned
+//! little-endian container that stores the float payload as raw
+//! IEEE-754 values under one version number,
+//! [`SNAPSHOT_FORMAT_VERSION`](prelude::SNAPSHOT_FORMAT_VERSION).
+//! [`SnapshotPayload::F64`](prelude::SnapshotPayload) keeps every weight
+//! bitwise; `SnapshotPayload::F32` narrows the payload to 4 bytes per
+//! weight, close to halving fleet-restore and rebalance staging bytes.
+//! The payload kind rides in the container header, so `load_bytes`
+//! restores both through the same call:
 //!
 //! ```
 //! use cerl::prelude::*;
@@ -128,13 +131,17 @@
 //! engine.set_precision(PrecisionMode::F32)?;
 //! let fast = engine.predict_ite(x)?;
 //!
-//! // Binary snapshot with a narrowed payload: at most 1/4 of JSON.
-//! let json = engine.save_bytes()?;
+//! // A narrowed payload: at most 3/5 of the full-fidelity container.
+//! let wide = engine.save_bytes_binary(SnapshotPayload::F64)?;
 //! let bin = engine.save_bytes_binary(SnapshotPayload::F32)?;
-//! assert!(bin.len() * 4 <= json.len());
+//! assert!(bin.len() * 5 <= wide.len() * 3);
 //!
-//! // The format is sniffed on load; a restored replica defaults to
-//! // F64 (precision is serving state, not model state).
+//! // The full-fidelity container restores every weight bitwise.
+//! let exact = CerlEngine::load_bytes(&wide)?;
+//! assert_eq!(exact.precision(), PrecisionMode::F64);
+//!
+//! // A restored replica defaults to F64 (precision is serving state,
+//! // not model state).
 //! let mut replica = CerlEngine::load_bytes(&bin)?;
 //! assert_eq!(replica.precision(), PrecisionMode::F64);
 //! replica.set_precision(PrecisionMode::F32)?;
@@ -144,9 +151,9 @@
 //! # Ok::<(), CerlError>(())
 //! ```
 //!
-//! A full-fidelity `SnapshotPayload::F64` binary snapshot round-trips
-//! every weight bitwise (still ~2x smaller than JSON); JSON snapshots
-//! from earlier format versions keep loading unchanged.
+//! Bytes of any other snapshot version are refused with a typed
+//! [`SnapshotError::UnsupportedVersion`](prelude::SnapshotError), and
+//! bytes that are not a container at all with `SnapshotError::Malformed`.
 //!
 //! ## Serving at scale: batching and sharding
 //!
@@ -595,7 +602,7 @@ pub mod prelude {
         ModelSnapshot, NetConfig, PrecisionMode, ReplicaChange, ReplicaSet, SLearner,
         ServingEngine, ServingStats, ServingStatsSnapshot, ShardAssignment, ShardMap, ShardMapDiff,
         ShardMove, SnapshotError, SnapshotPayload, StageReport, TLearner, TrainConfig, TrainReport,
-        VersionStats, VersionedEngine, SNAPSHOT_BINARY_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION,
+        VersionStats, VersionedEngine, SNAPSHOT_FORMAT_VERSION,
     };
     pub use cerl_data::{
         CausalDataset, DataError, DomainShift, DomainStream, SemiSyntheticConfig,

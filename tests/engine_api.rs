@@ -4,6 +4,9 @@
 
 use cerl::prelude::*;
 
+mod common;
+use common::rewrap_meta;
+
 fn quick_cfg() -> CerlConfig {
     let mut cfg = CerlConfig::quick_test();
     cfg.train.epochs = 6;
@@ -38,7 +41,10 @@ fn predicting_from_untrained_model_is_a_typed_error() {
         engine.predict_ite_batch(std::slice::from_ref(&x)),
         Err(CerlError::NotTrained)
     ));
-    assert!(matches!(engine.save_bytes(), Err(CerlError::NotTrained)));
+    assert!(matches!(
+        engine.save_bytes_binary(SnapshotPayload::F64),
+        Err(CerlError::NotTrained)
+    ));
 
     // Same contract on the research types and every lineup member.
     let cerl = Cerl::try_new(10, quick_cfg(), 1).unwrap();
@@ -202,7 +208,7 @@ fn snapshot_survives_restart_and_keeps_learning() {
         .observe(&stream.domain(1).train, &stream.domain(1).val)
         .unwrap();
 
-    let bytes = engine.save_bytes().unwrap();
+    let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
     drop(engine); // "process exit"
 
     let mut restored = CerlEngine::load_bytes(&bytes).unwrap();
@@ -220,12 +226,12 @@ fn snapshot_survives_restart_and_keeps_learning() {
     }
 }
 
-// ---- hostile shard-map metadata (snapshot format v4) -----------------------
+// ---- hostile shard-map metadata ------------------------------------------
 
-/// A trained snapshot carrying a valid 2-shard map, as a JSON string the
-/// hostile tests below can doctor at the document level (the typed
+/// A trained snapshot container carrying a valid 2-shard map, which the
+/// hostile tests below doctor at the meta-document level (the typed
 /// constructors refuse to build these maps, a wire document cannot).
-fn snapshot_text_with_map(seed: u64) -> String {
+fn snapshot_with_map(seed: u64) -> Vec<u8> {
     let stream = quick_stream(1, seed);
     let mut engine = CerlEngineBuilder::new(quick_cfg())
         .seed(seed)
@@ -235,37 +241,45 @@ fn snapshot_text_with_map(seed: u64) -> String {
         .observe(&stream.domain(0).train, &stream.domain(0).val)
         .unwrap();
     let map = ShardMap::from_pairs(2, &[(5, 0), (9, 1)]).unwrap();
-    let bytes = engine
+    engine
         .snapshot()
         .unwrap()
         .with_shard_map(map)
-        .to_bytes()
-        .unwrap();
-    String::from_utf8(bytes).unwrap()
+        .to_binary_bytes(SnapshotPayload::F64)
+        .unwrap()
+}
+
+/// `bytes` with `from` replaced by `to` in its meta document (`from` must
+/// occur there: a layout assumption).
+fn doctored(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+    rewrap_meta(bytes, |meta| {
+        assert!(meta.contains(from), "layout assumption: {from}");
+        meta.replace(from, to)
+    })
 }
 
 /// Every load path must reject the bytes with a typed error — never
-/// panic, and never build a serving fleet from a hostile topology.
-fn assert_rejected_everywhere(hostile: &str, expected_field: &str) {
-    match CerlEngine::load_bytes(hostile.as_bytes()) {
+/// panic, and never build or publish to a serving fleet from a hostile
+/// topology.
+fn assert_rejected_everywhere(hostile: &[u8], expected_field: &str) {
+    match CerlEngine::load_bytes(hostile) {
         Err(CerlError::InvalidConfig { field, .. }) => assert_eq!(field, expected_field),
         other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
     }
-    assert!(ServingEngine::from_snapshot_bytes(hostile.as_bytes()).is_err());
+    let serving = ServingEngine::new(CerlEngineBuilder::new(quick_cfg()).build().unwrap());
+    assert!(serving.swap_snapshot_bytes_warm(hostile).is_err());
+    assert_eq!(serving.version(), 1, "nothing was published");
     assert!(matches!(
-        ShardRouter::from_snapshot_bytes(&[hostile.as_bytes().to_vec()], None),
+        ShardRouter::from_snapshot_bytes(&[hostile.to_vec()], None),
         Err(ServeError::Engine(CerlError::InvalidConfig { .. }))
     ));
 }
 
 #[test]
 fn shard_map_with_out_of_range_shard_id_fails_closed() {
-    let text = snapshot_text_with_map(206);
-    assert!(
-        text.contains(r#""domain":9,"replicas":[1]"#),
-        "layout assumption"
-    );
-    let hostile = text.replace(
+    let bytes = snapshot_with_map(206);
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":9,"replicas":[7]"#,
     );
@@ -274,9 +288,10 @@ fn shard_map_with_out_of_range_shard_id_fails_closed() {
 
 #[test]
 fn shard_map_with_duplicate_domain_entries_fails_closed() {
-    let text = snapshot_text_with_map(207);
+    let bytes = snapshot_with_map(207);
     // Domain 5 now claims both shard 0 and shard 1.
-    let hostile = text.replace(
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":5,"replicas":[1]"#,
     );
@@ -284,7 +299,8 @@ fn shard_map_with_duplicate_domain_entries_fails_closed() {
     // Exact duplicate entries (same shard twice) are rejected too: the
     // wire document bypassed the constructor's dedup, so it is not the
     // canonical form the fleet agreed on.
-    let hostile = text.replace(
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":5,"replicas":[0]"#,
     );
@@ -295,27 +311,31 @@ fn shard_map_with_duplicate_domain_entries_fails_closed() {
 fn shard_map_with_hostile_replica_sets_fails_closed() {
     // Replica-set pathologies the typed constructors cannot express but
     // a wire document can: every load path rejects them, none panics.
-    let text = snapshot_text_with_map(212);
+    let bytes = snapshot_with_map(212);
     // Duplicate replica ids inside one set.
-    let hostile = text.replace(
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":9,"replicas":[1,1]"#,
     );
     assert_rejected_everywhere(&hostile, "shard_map");
     // Unsorted set: not the canonical form the fleet agreed on.
-    let hostile = text.replace(
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":9,"replicas":[1,0]"#,
     );
     assert_rejected_everywhere(&hostile, "shard_map");
     // Empty replica-set: the domain would be unserveable.
-    let hostile = text.replace(
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":9,"replicas":[]"#,
     );
     assert_rejected_everywhere(&hostile, "shard_map");
     // Replica id at (and past) the declared fleet size.
-    let hostile = text.replace(
+    let hostile = doctored(
+        &bytes,
         r#""domain":9,"replicas":[1]"#,
         r#""domain":9,"replicas":[0,2]"#,
     );
@@ -323,34 +343,16 @@ fn shard_map_with_hostile_replica_sets_fails_closed() {
 }
 
 #[test]
-fn v2_single_shard_snapshots_still_load_as_replica_sets() {
-    // A v2-era document spells the map `"shard": M` and stamps format
-    // version 2; the upgrade path must read it as `replicas == [M]`.
-    let text = snapshot_text_with_map(213);
-    assert!(text.contains(r#""format_version":4"#), "layout assumption");
-    let vintage = text
-        .replace(r#""format_version":4"#, r#""format_version":2"#)
-        .replace(r#""domain":5,"replicas":[0]"#, r#""domain":5,"shard":0"#)
-        .replace(r#""domain":9,"replicas":[1]"#, r#""domain":9,"shard":1"#);
-    assert!(CerlEngine::load_bytes(vintage.as_bytes()).is_ok());
-    let snapshot = ModelSnapshot::from_bytes(vintage.as_bytes()).unwrap();
-    let map = snapshot.shard_map.expect("map survives the upgrade");
-    assert_eq!(map.replicas_for(5).unwrap().shards(), &[0]);
-    assert_eq!(map.replicas_for(9).unwrap().shards(), &[1]);
-    assert!(!map.is_replicated());
-}
-
-#[test]
 fn shard_map_referencing_a_missing_shard_fails_the_fleet_restore() {
     // The map itself is valid but declares 3 shards; only one replica
     // exists, so the fleet cannot be seated — typed, and it names the
     // expected vs found counts.
-    let text = snapshot_text_with_map(208);
-    let hostile = text.replace(r#""shards":2"#, r#""shards":3"#);
+    let bytes = snapshot_with_map(208);
+    let hostile = doctored(&bytes, r#""shards":2"#, r#""shards":3"#);
     // A lone engine restore tolerates it (routing is the fleet's concern)...
-    assert!(CerlEngine::load_bytes(hostile.as_bytes()).is_ok());
+    assert!(CerlEngine::load_bytes(&hostile).is_ok());
     // ...the fleet restore does not.
-    match ShardRouter::from_snapshot_bytes(&[hostile.into_bytes()], None) {
+    match ShardRouter::from_snapshot_bytes(&[hostile], None) {
         Err(
             e @ ServeError::FleetSizeMismatch {
                 expected: 3,
@@ -384,7 +386,7 @@ fn shard_index_outside_the_map_fails_closed() {
         .unwrap()
         .with_shard_map(map)
         .with_shard_index(5)
-        .to_bytes()
+        .to_binary_bytes(SnapshotPayload::F64)
         .unwrap();
     match CerlEngine::load_bytes(&bytes) {
         Err(CerlError::InvalidConfig { field, .. }) => assert_eq!(field, "shard_map"),
@@ -402,7 +404,7 @@ fn truncated_snapshots_fail_closed() {
     engine
         .observe(&stream.domain(0).train, &stream.domain(0).val)
         .unwrap();
-    let bytes = engine.save_bytes().unwrap();
+    let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
     for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
         assert!(
             matches!(
@@ -434,21 +436,23 @@ fn warm_swap_refuses_a_snapshot_that_answers_nan() {
     let x = &stream.domain(0).test.x;
     let before = serving.predict_ite(x).unwrap();
 
-    let text = String::from_utf8(engine.save_bytes().unwrap()).unwrap();
-    let start = text
-        .find(r#""y_scale":{"#)
-        .expect("trained snapshots carry a scaler")
-        + 11;
-    let end = start + text[start..].find('}').unwrap();
-    let poisoned = format!(
-        r#"{}"mean":"NaN","sd":"NaN"{}"#,
-        &text[..start],
-        &text[end..]
-    );
-    let restored = CerlEngine::load_bytes(poisoned.as_bytes()).expect("still a valid document");
+    let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
+    let poisoned = rewrap_meta(&bytes, |text| {
+        let start = text
+            .find(r#""y_scale":{"#)
+            .expect("trained snapshots carry a scaler")
+            + 11;
+        let end = start + text[start..].find('}').unwrap();
+        format!(
+            r#"{}"mean":"NaN","sd":"NaN"{}"#,
+            &text[..start],
+            &text[end..]
+        )
+    });
+    let restored = CerlEngine::load_bytes(&poisoned).expect("still a valid document");
     assert!(restored.predict_ite(x).unwrap().iter().all(|v| v.is_nan()));
 
-    match serving.swap_snapshot_bytes_warm(poisoned.as_bytes()) {
+    match serving.swap_snapshot_bytes_warm(&poisoned) {
         Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
             assert!(reason.contains("non-finite"), "{reason}");
         }
@@ -458,4 +462,72 @@ fn warm_swap_refuses_a_snapshot_that_answers_nan() {
     let after = serving.predict_ite(x).unwrap();
     assert!(after.iter().all(|v| v.is_finite()));
     assert_eq!(after, before);
+}
+
+/// No install path ships a model that answers NaN. A domain with one NaN
+/// outcome poisons the successor trained on it; both the training publish
+/// (`observe_and_swap`) and a direct `publish` of that successor must be
+/// refused, leaving the old version serving its old bits. The test only
+/// asks for "an error and nothing published", so it keeps holding if the
+/// dataset boundary starts rejecting the NaN itself.
+///
+/// Debug builds stop earlier: the tape's debug assertion that every node
+/// is finite panics inside the training pass, before anything could be
+/// published, so there the test checks only that nothing was. The release
+/// lane runs the full check.
+#[test]
+fn no_publish_path_ships_a_nan_model() {
+    let stream = quick_stream(2, 23);
+    let mut engine = CerlEngineBuilder::new(quick_cfg())
+        .seed(23)
+        .build()
+        .unwrap();
+    engine
+        .observe(&stream.domain(0).train, &stream.domain(0).val)
+        .unwrap();
+    let serving = ServingEngine::new(engine.clone());
+    let x = &stream.domain(0).test.x;
+    let before = serving.predict_ite(x).unwrap();
+    assert!(before.iter().all(|v| v.is_finite()));
+
+    let mut poisoned = stream.domain(1).train.clone();
+    poisoned.y[0] = f64::NAN;
+    let val = &stream.domain(1).val;
+    let completes =
+        |f: &mut dyn FnMut()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok();
+
+    // Train the poisoned successor off to the side first: in release
+    // builds the NaN reaches the model and only the warm probe can refuse
+    // it.
+    let mut successor = engine;
+    let mut trained = false;
+    completes(&mut || trained = successor.observe(&poisoned, val).is_ok());
+
+    let assert_nothing_published = |path: &str| {
+        assert_eq!(serving.version(), 1, "{path}: nothing was published");
+        assert_eq!(serving.stats().swaps, 0, "{path}: nothing was published");
+        assert_eq!(serving.predict_ite(x).unwrap(), before, "{path}");
+    };
+    let assert_refused = |outcome: Result<u64, CerlError>, path: &str| {
+        match outcome {
+            Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
+                assert!(reason.contains("non-finite"), "{path}: {reason}");
+            }
+            Err(other) => assert!(!trained, "{path}: expected Incompatible, got {other:?}"),
+            Ok(version) => panic!("{path}: published version {version}"),
+        }
+        assert_nothing_published(path);
+    };
+
+    let mut outcome = None;
+    if completes(&mut || outcome = Some(serving.observe_and_swap(&poisoned, val))) {
+        let outcome = outcome.expect("ran to completion");
+        assert_refused(outcome.map(|(_, v)| v), "observe_and_swap");
+    } else {
+        assert!(!trained, "observe_and_swap panicked where observe did not");
+        assert_nothing_published("observe_and_swap");
+    }
+    if trained {
+        assert_refused(serving.publish(successor), "publish");
+    }
 }

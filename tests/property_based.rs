@@ -15,6 +15,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+mod common;
+
 /// One trained engine shared by the snapshot properties (training inside
 /// every proptest case would dominate the suite's runtime), plus its
 /// restored-from-bytes replica and covariate dimension.
@@ -42,7 +44,9 @@ fn snapshot_fixture() -> &'static (CerlEngine, CerlEngine, usize) {
                 .observe(&stream.domain(d).train, &stream.domain(d).val)
                 .expect("well-formed synthetic domains");
         }
-        let bytes = engine.save_bytes().expect("trained engine saves");
+        let bytes = engine
+            .save_bytes_binary(SnapshotPayload::F64)
+            .expect("trained engine saves");
         let restored = CerlEngine::load_bytes(&bytes).expect("own bytes load");
         (engine, restored, d_in)
     })
@@ -52,7 +56,8 @@ fn snapshot_fixture() -> &'static (CerlEngine, CerlEngine, usize) {
 type Reference = Box<dyn Fn(&Matrix) -> (Matrix, Vec<f64>, Vec<f64>)>;
 
 /// A random trained-looking model, served from its compiled plan by an
-/// engine restored from a hand-built snapshot document, plus the tape
+/// engine restored from a hand-built snapshot document (every float
+/// inline in the meta document, an empty payload section), plus the tape
 /// forward of the same weights.
 fn plan_and_tape(
     seed: u64,
@@ -98,8 +103,7 @@ fn plan_and_tape(
 
     let json = |v: Result<String, serde_json::Error>| v.expect("serializes");
     let doc = format!(
-        r#"{{"format_version":{},"seed":{seed},"stage":1,"config":{},"shard_map":null,"shard_index":null,"model":{{"store":{},"repr":{},"heads":{},"x_std":{},"y_scale":{},"d_in":{d_in},"stages_trained":1}},"memory":null}}"#,
-        SNAPSHOT_FORMAT_VERSION,
+        r#"{{"seed":{seed},"stage":1,"config":{},"shard_map":null,"shard_index":null,"model":{{"store":{},"repr":{},"heads":{},"x_std":{},"y_scale":{},"d_in":{d_in},"stages_trained":1}},"memory":null}}"#,
         json(serde_json::to_string(&cfg)),
         json(serde_json::to_string(&store)),
         json(serde_json::to_string(&repr)),
@@ -107,7 +111,9 @@ fn plan_and_tape(
         json(serde_json::to_string(&x_std)),
         json(serde_json::to_string(&y_scale)),
     );
-    let engine = CerlEngine::load_bytes(doc.as_bytes()).expect("hand-built snapshot loads");
+    let no_arrays = 0u32.to_le_bytes();
+    let engine =
+        CerlEngine::load_bytes(&common::wrap(&doc, &no_arrays)).expect("hand-built snapshot loads");
     let reference = move |x: &Matrix| {
         let mut g = Graph::new();
         let xin = g.input(x_std.try_transform(x).expect("right width"));
@@ -298,9 +304,10 @@ proptest! {
     #[test]
     fn snapshot_rejects_every_foreign_format_version(bump in 1u32..1000) {
         let (engine, _, _) = snapshot_fixture();
-        let mut snapshot = engine.snapshot().expect("trained engine snapshots");
-        snapshot.format_version = SNAPSHOT_FORMAT_VERSION.wrapping_add(bump);
-        let bytes = snapshot.to_bytes().expect("serializes");
+        let mut bytes = engine
+            .save_bytes_binary(SnapshotPayload::F64)
+            .expect("trained engine saves");
+        bytes[8..12].copy_from_slice(&SNAPSHOT_FORMAT_VERSION.wrapping_add(bump).to_le_bytes());
         match CerlEngine::load_bytes(&bytes) {
             Err(CerlError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
                 prop_assert_eq!(found, SNAPSHOT_FORMAT_VERSION.wrapping_add(bump));
@@ -406,6 +413,125 @@ proptest! {
         }
         prop_assert_eq!(sel.true_ate(), ds.true_ate());
     }
+}
+
+// ---- seeded mutation of the snapshot decoder -----------------------------
+
+/// Seeded random bit flips per container, on top of the systematic
+/// mutations (every header bit, every boundary cut, every length field).
+const SNAPSHOT_BIT_FLIPS: usize = 256;
+
+/// A length or count field of a container: byte offset, width (4 or 8),
+/// current value.
+type LenField = (usize, usize, u64);
+
+fn read_le(bytes: &[u8], at: usize, width: usize) -> u64 {
+    let mut buf = [0u8; 8];
+    buf[..width].copy_from_slice(&bytes[at..at + width]);
+    u64::from_le_bytes(buf)
+}
+
+/// Section boundaries and length fields of a well-formed container: the
+/// header fields, the section table, and the payload's array count and
+/// per-array element counts.
+fn container_layout(bin: &[u8]) -> (Vec<usize>, Vec<LenField>) {
+    let meta_len = read_le(bin, 24, 8) as usize;
+    let payload_at = 44 + meta_len;
+    let width = if bin[12] == 0 { 8 } else { 4 };
+    let mut cuts = vec![0, 8, 12, 13, 16, 20, 24, 32, 36, 44, payload_at];
+    let mut fields = vec![
+        (16, 4, read_le(bin, 16, 4)),
+        (24, 8, meta_len as u64),
+        (36, 8, read_le(bin, 36, 8)),
+        (payload_at, 4, read_le(bin, payload_at, 4)),
+    ];
+    let mut at = payload_at + 4;
+    for _ in 0..read_le(bin, payload_at, 4) {
+        let n = read_le(bin, at, 8);
+        cuts.push(at);
+        fields.push((at, 8, n));
+        at += 8 + n as usize * width;
+    }
+    assert_eq!(at, bin.len(), "layout walk covers the container");
+    cuts.push(bin.len());
+    (cuts, fields)
+}
+
+/// Every mutation the decoder must survive, as `(label, bytes)`.
+fn container_mutations(bin: &[u8], rng: &mut StdRng) -> Vec<(String, Vec<u8>)> {
+    let (cuts, fields) = container_layout(bin);
+    let mut out = Vec::new();
+    let flip = |at: usize, bit: u8, out: &mut Vec<(String, Vec<u8>)>| {
+        let mut m = bin.to_vec();
+        m[at] ^= 1 << bit;
+        out.push((format!("flip byte {at} bit {bit}"), m));
+    };
+    for at in 0..44 {
+        for bit in 0..8 {
+            flip(at, bit, &mut out);
+        }
+    }
+    for _ in 0..SNAPSHOT_BIT_FLIPS {
+        flip(
+            rng.gen_range(0..bin.len()),
+            rng.gen_range(0..8usize) as u8,
+            &mut out,
+        );
+    }
+    for &cut in &cuts {
+        for at in [cut.saturating_sub(1), cut, cut + 1] {
+            if at < bin.len() {
+                out.push((format!("cut at {at}"), bin[..at].to_vec()));
+            }
+        }
+    }
+    for &(at, width, len) in &fields {
+        let max = if width == 4 {
+            u64::from(u32::MAX)
+        } else {
+            u64::MAX
+        };
+        for v in [0, 1, len.wrapping_sub(1) & max, (len + 1) & max, max] {
+            let mut m = bin.to_vec();
+            m[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+            out.push((format!("field at {at} = {v}"), m));
+        }
+    }
+    // Swapped sections: bodies only, then bodies and table entries.
+    let (header, bodies) = bin.split_at(44);
+    let (meta, payload) = bodies.split_at(read_le(bin, 24, 8) as usize);
+    let mut swapped = header.to_vec();
+    swapped.extend_from_slice(payload);
+    swapped.extend_from_slice(meta);
+    out.push(("swapped bodies".into(), swapped.clone()));
+    swapped[20..32].copy_from_slice(&header[32..44]);
+    swapped[32..44].copy_from_slice(&header[20..32]);
+    out.push(("swapped sections".into(), swapped));
+    out
+}
+
+/// The snapshot decoder fails closed on hostile bytes: every seeded
+/// mutation of a valid F64 and a valid F32 container ends in a typed
+/// error or a valid decode (which must then restore or fail typed),
+/// never a panic.
+#[test]
+fn mutated_snapshot_containers_decode_or_fail_typed_never_panic() {
+    let (engine, _, _) = snapshot_fixture();
+    let mut rng = StdRng::seed_from_u64(2025);
+    let mut cases = 0;
+    for payload in [SnapshotPayload::F64, SnapshotPayload::F32] {
+        let bin = engine
+            .save_bytes_binary(payload)
+            .expect("trained engine saves");
+        for (label, bytes) in container_mutations(&bin, &mut rng) {
+            let outcome = std::panic::catch_unwind(|| {
+                ModelSnapshot::from_bytes(&bytes).and_then(CerlEngine::from_snapshot)
+            });
+            assert!(outcome.is_ok(), "{payload:?} {label}: the decoder panicked");
+            cases += 1;
+        }
+    }
+    assert!(cases > 2 * (44 * 8 + SNAPSHOT_BIT_FLIPS), "{cases} cases");
 }
 
 // The scatter-gather contract gets its own, larger case budget: the

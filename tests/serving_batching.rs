@@ -171,7 +171,7 @@ fn no_request_sees_a_torn_engine_across_hot_swap() {
         while scheduler.stats().requests < pre_swap_target {
             std::thread::yield_now();
         }
-        let version = serving.swap_engine_warm(v2.clone()).unwrap();
+        let version = serving.publish(v2.clone()).unwrap();
         assert_eq!(version, 2);
         swapped.store(true, Ordering::Release);
     });
@@ -256,7 +256,9 @@ fn sharded_fleet_batches_and_swaps_independently_under_load() {
             std::thread::yield_now();
         }
         let version = router
-            .swap_shard_engine(1, shard1_successor.clone())
+            .shard(1)
+            .unwrap()
+            .publish(shard1_successor.clone())
             .unwrap();
         assert_eq!(version, 2);
     });

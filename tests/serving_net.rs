@@ -396,7 +396,7 @@ fn hot_swap_under_socket_load_keeps_every_answer_attributable() {
         }
 
         std::thread::sleep(Duration::from_millis(40));
-        serving.swap_engine(successor);
+        serving.publish(successor).unwrap();
         swapped.store(true, Ordering::SeqCst);
     });
 
@@ -803,7 +803,7 @@ fn rebalance_under_socket_load_with_zero_serve_faults() {
 
         // Choreograph fleet surgery under live scatter load.
         std::thread::sleep(Duration::from_millis(30));
-        router.swap_shard_engine(1, successor.clone()).unwrap();
+        router.shard(1).unwrap().publish(successor.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         router.begin_rebalance(1, 0, successor.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(30)); // dual-route window
