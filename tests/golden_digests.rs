@@ -6,7 +6,14 @@
 //!
 //! * `predict_ite` and the potential outcomes, in f64 and f32 precision;
 //! * `embed` (the learned representations) on the same rows;
-//! * the F64 snapshot container bytes of the trained CERL engine.
+//! * the F64 snapshot container bytes of the trained CERL engine;
+//! * the S- and T-learner ITEs on the same rows;
+//! * every stage's [`TrainReport`] (`epochs_run` and the bits of both
+//!   losses), which pins the training loop's epoch count and its loss
+//!   bookkeeping, not only where the parameters end up.
+//!
+//! A second test trains a CFR model with a patience low enough that early
+//! stopping fires, pinning the break and the best-parameter restore.
 //!
 //! **Contract.** The digests are equal across FMA-capable x86-64 builds
 //! linked against one glibc: the AVX-512 and the portable GEMM tiles
@@ -77,6 +84,19 @@ fn outputs(
     out
 }
 
+/// `(name, digest)` of one stage's training report.
+fn report(name: &str, r: &TrainReport) -> (String, u64) {
+    let bytes = [
+        r.epochs_run as u64,
+        r.best_val_loss.to_bits(),
+        r.final_train_loss.to_bits(),
+    ];
+    (
+        format!("{name}.report"),
+        fnv1a(bytes.iter().flat_map(|v| v.to_le_bytes())),
+    )
+}
+
 fn actual_digests() -> Vec<(String, u64)> {
     let stream = tiny_stream();
     let x = fixed_rows(&stream);
@@ -84,10 +104,12 @@ fn actual_digests() -> Vec<(String, u64)> {
         .seed(2501)
         .build()
         .unwrap();
+    let mut reports = Vec::new();
     for d in 0..3 {
-        engine
+        let stage = engine
             .observe(&stream.domain(d).train, &stream.domain(d).val)
             .unwrap();
+        reports.push(report(&format!("cerl.stage{}", stage.stage), &stage.train));
     }
     let mut all = outputs(
         "cerl.f64",
@@ -108,7 +130,8 @@ fn actual_digests() -> Vec<(String, u64)> {
     ));
 
     let mut cfr = CfrModel::try_new(x.cols(), tiny_cfg(), 2502).unwrap();
-    cfr.try_train(&stream.domain(0).train, &stream.domain(0).val)
+    let cfr_report = cfr
+        .try_train(&stream.domain(0).train, &stream.domain(0).val)
         .unwrap();
     all.extend(outputs(
         "cfr.f64",
@@ -116,12 +139,32 @@ fn actual_digests() -> Vec<(String, u64)> {
         cfr.try_predict_potential_outcomes(&x).unwrap(),
         Some(cfr.try_embed(&x).unwrap()),
     ));
+
+    let (train, val) = (&stream.domain(0).train, &stream.domain(0).val);
+    let mut s_learner = SLearner::new(x.cols(), tiny_cfg(), 2503);
+    let s_report = s_learner.try_train(train, val).unwrap();
+    all.push((
+        "slearner.ite".into(),
+        digest(&s_learner.try_predict_ite(&x).unwrap()),
+    ));
+    let mut t_learner = TLearner::new(x.cols(), tiny_cfg(), 2504);
+    t_learner.try_train(train, val).unwrap();
+    all.push((
+        "tlearner.ite".into(),
+        digest(&t_learner.try_predict_ite(&x).unwrap()),
+    ));
+
+    all.extend(reports);
+    all.push(report("cfr", &cfr_report));
+    all.push(report("slearner", &s_report));
     all
 }
 
 /// Pinned digests. The prediction and embedding entries date from before
 /// the snapshot container became the only format (version 5) and held
 /// unchanged through it; `cerl.container_f64` pins the version-5 bytes.
+/// The S/T-learner and `.report` entries were pinned before the three
+/// training loops became one.
 const PINNED: &[(&str, u64)] = &[
     ("cerl.f64.ite", 0x8ed3c9dc3cc5c873),
     ("cerl.f64.y0", 0x2f6197be0834aa9b),
@@ -135,15 +178,57 @@ const PINNED: &[(&str, u64)] = &[
     ("cfr.f64.y0", 0xa21c8246d88f42fd),
     ("cfr.f64.y1", 0x67774ad1712f8fb0),
     ("cfr.f64.embed", 0xf798f82dab62202e),
+    ("slearner.ite", 0x5ece1ad102d489b0),
+    ("tlearner.ite", 0x58ddd283bdc3cf01),
+    ("cerl.stage1.report", 0x9444edd59847f912),
+    ("cerl.stage2.report", 0x17c87a9cbe36593e),
+    ("cerl.stage3.report", 0xca1303e2829e3f1f),
+    ("cfr.report", 0x31505491cdd003e9),
+    ("slearner.report", 0x417b733c28fe0583),
 ];
 
-#[test]
-fn model_bits_match_the_golden_digests() {
-    let actual = actual_digests();
+/// Pinned digests of the early-stopped CFR run.
+const PINNED_EARLY_STOP: &[(&str, u64)] = &[
+    ("cfr_early_stop.ite", 0xbee00c9b1a92bf7a),
+    ("cfr_early_stop.report", 0xff3753395eb3bf82),
+];
+
+fn assert_pinned(actual: &[(String, u64)], pinned: &[(&str, u64)]) {
     let table: String = actual
         .iter()
         .map(|(name, d)| format!("    (\"{name}\", 0x{d:016x}),\n"))
         .collect();
-    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
-    assert_eq!(actual, pinned, "actual digests:\n{table}");
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    assert_eq!(actual, pinned.as_slice(), "actual digests:\n{table}");
+}
+
+#[test]
+fn model_bits_match_the_golden_digests() {
+    assert_pinned(&actual_digests(), PINNED);
+}
+
+#[test]
+fn early_stopping_fires_and_pins_the_restored_model() {
+    let stream = tiny_stream();
+    let x = fixed_rows(&stream);
+    let mut cfg = tiny_cfg();
+    cfg.train.epochs = 40;
+    cfg.train.patience = 1;
+    let mut cfr = CfrModel::try_new(x.cols(), cfg, 2505).unwrap();
+    let r = cfr
+        .try_train(&stream.domain(0).train, &stream.domain(0).val)
+        .unwrap();
+    assert!(
+        r.epochs_run < 40,
+        "the stopper must fire before the epoch budget runs out ({} epochs)",
+        r.epochs_run
+    );
+    let actual = vec![
+        (
+            "cfr_early_stop.ite".to_string(),
+            digest(&cfr.try_predict_ite(&x).unwrap()),
+        ),
+        report("cfr_early_stop", &r),
+    ];
+    assert_pinned(&actual, PINNED_EARLY_STOP);
 }
