@@ -10,11 +10,11 @@
 //!
 //! `--supervised` (with `--probe-linear`) and `--sweep` run the other
 //! calibration probes instead; the remaining flags in `FLAGS` tweak the
-//! model or data config. Any other flag exits 2.
+//! model or data config. Any other flag exits 2 ([`RunArgs::parse`]).
 
 use cerl_bench::scale::{model_config, synthetic_config, RunArgs};
 use cerl_core::metrics::EffectMetrics;
-use cerl_core::CfrModel;
+use cerl_core::{CerlError, CfrModel};
 use cerl_data::{DomainStream, SyntheticGenerator};
 use cerl_math::stats::{mean, std_dev};
 
@@ -35,21 +35,6 @@ const FLAGS: [&str; 12] = [
     "--sweep",
 ];
 
-/// Exit 2 naming the first flag diag does not know, so a stale
-/// invocation fails instead of silently running the calibration.
-fn reject_unknown_flags(args: &RunArgs) {
-    let mut extra = args.extra.iter();
-    while let Some(flag) = extra.next() {
-        if !FLAGS.contains(&flag.as_str()) {
-            eprintln!("diag: unknown flag {flag}");
-            std::process::exit(2);
-        }
-        if flag == "--units" {
-            extra.next();
-        }
-    }
-}
-
 /// Pure supervised regression of the true ITE surface τ(x): upper-bounds
 /// what any causal estimator could achieve on this data.
 fn supervised_probe(
@@ -57,13 +42,13 @@ fn supervised_probe(
     test: &cerl_data::CausalDataset,
     seed: u64,
     linear_probe: bool,
-) {
+) -> Result<(), CerlError> {
     use cerl_data::Standardizer;
     use cerl_math::Matrix;
     use cerl_nn::{Activation, Adam, Graph, Mlp, Optimizer, ParamStore};
-    let std = Standardizer::fit(&train.x);
-    let xs = std.transform(&train.x);
-    let xt = std.transform(&test.x);
+    let std = Standardizer::try_fit(&train.x)?;
+    let xs = std.try_transform(&train.x)?;
+    let xt = std.try_transform(&test.x)?;
     let (tau_train, tau_test) = if linear_probe {
         // Linear target: w = 1/sqrt(d) on every coordinate.
         let d = xs.cols() as f64;
@@ -129,11 +114,16 @@ fn supervised_probe(
             );
         }
     }
+    Ok(())
 }
 
 /// Sweep CERL loss-term weights on 2-domain streams (3 replications);
 /// prints mean prev/new sqrt-PEHE per configuration with CFR-B reference.
-fn cerl_term_sweep(_stream: &DomainStream, base: &cerl_core::CerlConfig, seed: u64) {
+fn cerl_term_sweep(
+    _stream: &DomainStream,
+    base: &cerl_core::CerlConfig,
+    seed: u64,
+) -> Result<(), CerlError> {
     use cerl_bench::scale::{synthetic_config, Scale};
     use cerl_core::strategies::{CfrB, ContinualEstimator};
     use cerl_core::Cerl;
@@ -145,21 +135,22 @@ fn cerl_term_sweep(_stream: &DomainStream, base: &cerl_core::CerlConfig, seed: u
         .collect();
     let d_in = streams[0].domain(0).train.dim();
 
-    let run_avg = |mk: &dyn Fn(u64) -> Box<dyn ContinualEstimator>| -> (f64, f64) {
+    type Make<'a> = &'a dyn Fn(u64) -> Result<Box<dyn ContinualEstimator>, CerlError>;
+    let run_avg = |mk: Make| -> Result<(f64, f64), CerlError> {
         let (mut p, mut n) = (0.0, 0.0);
         for (r, stream) in streams.iter().enumerate() {
-            let mut est = mk(cerl_rand::seeds::derive(seed, r as u64));
+            let mut est = mk(cerl_rand::seeds::derive(seed, r as u64))?;
             for d in 0..2 {
-                est.observe(&stream.domain(d).train, &stream.domain(d).val);
+                est.try_observe(&stream.domain(d).train, &stream.domain(d).val)?;
             }
-            p += est.evaluate(&stream.domain(0).test).sqrt_pehe;
-            n += est.evaluate(&stream.domain(1).test).sqrt_pehe;
+            p += est.try_evaluate(&stream.domain(0).test)?.sqrt_pehe;
+            n += est.try_evaluate(&stream.domain(1).test)?.sqrt_pehe;
         }
-        (p / 3.0, n / 3.0)
+        Ok((p / 3.0, n / 3.0))
     };
 
     let bcfg = base.clone();
-    let (bp, bn) = run_avg(&|sd| Box::new(CfrB::new(d_in, bcfg.clone(), sd)));
+    let (bp, bn) = run_avg(&|sd| Ok(Box::new(CfrB::new(d_in, bcfg.clone(), sd)?)))?;
     println!("CFR-B reference     : prev {bp:.3} new {bn:.3}");
 
     #[allow(clippy::type_complexity)]
@@ -224,17 +215,14 @@ fn cerl_term_sweep(_stream: &DomainStream, base: &cerl_core::CerlConfig, seed: u
     for (name, tweak) in variants {
         let mut cfg = base.clone();
         tweak(&mut cfg);
-        let (p, n) = run_avg(&|sd| {
-            let c = cfg.clone();
-            Box::new(Cerl::new(d_in, c, sd)) as Box<dyn ContinualEstimator>
-        });
+        let (p, n) = run_avg(&|sd| Ok(Box::new(Cerl::try_new(d_in, cfg.clone(), sd)?)))?;
         println!("CERL {name:<15}: prev {p:.3} new {n:.3}");
     }
+    Ok(())
 }
 
-fn main() {
-    let args = RunArgs::parse(std::env::args().skip(1));
-    reject_unknown_flags(&args);
+fn main() -> Result<(), CerlError> {
+    let args = RunArgs::parse(std::env::args().skip(1), &FLAGS, &["--units"]);
     let mut cfg = model_config(args.scale);
     // Ad-hoc calibration switches.
     if args.has_flag("--no-cosine") {
@@ -287,28 +275,26 @@ fn main() {
     );
 
     if args.has_flag("--supervised") {
-        supervised_probe(
+        return supervised_probe(
             &d0.train,
             &d0.test,
             args.seed,
             args.has_flag("--probe-linear"),
         );
-        return;
     }
     if args.has_flag("--sweep") {
-        cerl_term_sweep(&stream, &cfg, args.seed);
-        return;
+        return cerl_term_sweep(&stream, &cfg, args.seed);
     }
-    let mut model = CfrModel::new(d0.train.dim(), cfg, args.seed);
-    let report = model.train(&d0.train, &d0.val);
+    let mut model = CfrModel::try_new(d0.train.dim(), cfg, args.seed)?;
+    let report = model.try_train(&d0.train, &d0.val)?;
     println!(
         "train: epochs={} best_val={:.4} final_train={:.4}",
         report.epochs_run, report.best_val_loss, report.final_train_loss
     );
 
     // Same-domain test.
-    let est = model.predict_ite(&d0.test.x);
-    let est_train = model.predict_ite(&d0.train.x);
+    let est = model.try_predict_ite(&d0.test.x)?;
+    let est_train = model.try_predict_ite(&d0.train.x)?;
     let m_train = EffectMetrics::on_dataset(&d0.train, &est_train);
     println!("train-set sqrtPEHE={:.3}", m_train.sqrt_pehe);
     let true_ite_test = d0.test.true_ite();
@@ -340,7 +326,7 @@ fn main() {
     );
 
     // Factual RMSE vs noise floor.
-    let (y0, y1) = model.predict_potential_outcomes(&d0.test.x);
+    let (y0, y1) = model.try_predict_potential_outcomes(&d0.test.x)?;
     let mut se = 0.0;
     for i in 0..d0.test.n() {
         let pred = if d0.test.t[i] { y1[i] } else { y0[i] };
@@ -353,7 +339,7 @@ fn main() {
     );
 
     // Cross-domain degradation.
-    let est_shift = model.predict_ite(&d1.test.x);
+    let est_shift = model.try_predict_ite(&d1.test.x)?;
     let m_shift = EffectMetrics::on_dataset(&d1.test, &est_shift);
     println!(
         "cross-domain: sqrtPEHE={:.3} ateErr={:.3} (degradation x{:.2})",
@@ -361,4 +347,5 @@ fn main() {
         m_shift.ate_error,
         m_shift.sqrt_pehe / m.sqrt_pehe.max(1e-9)
     );
+    Ok(())
 }

@@ -2,8 +2,8 @@
 //! budgets vs the all-data ideal). `--ablate-cosine` adds the in-text
 //! cosine-normalization ablation series.
 
-fn main() {
-    let args = cerl_bench::RunArgs::parse(std::env::args().skip(1));
-    let result = cerl_bench::fig3::run_ab(&args);
-    cerl_bench::fig3::print_ab(&result);
+fn main() -> Result<(), cerl_core::CerlError> {
+    let args = cerl_bench::RunArgs::parse(std::env::args().skip(1), &["--ablate-cosine"], &[]);
+    cerl_bench::fig3::print_ab(&cerl_bench::fig3::run_ab(&args)?);
+    Ok(())
 }

@@ -4,7 +4,7 @@
 use cerl_core::config::CerlConfig;
 use cerl_core::metrics::{mean_metrics, EffectMetrics};
 use cerl_core::strategies::{CfrA, CfrB, CfrC, ContinualEstimator};
-use cerl_core::Cerl;
+use cerl_core::{Cerl, CerlError};
 use cerl_data::{CausalDataset, DomainStream};
 use cerl_math::stats::paired_t_test;
 use cerl_rand::seeds;
@@ -44,18 +44,23 @@ impl EstimatorSpec {
     }
 
     /// Instantiate for `d_in` covariates with the given base configuration.
-    pub fn build(&self, d_in: usize, base: &CerlConfig, seed: u64) -> Box<dyn ContinualEstimator> {
+    pub fn build(
+        &self,
+        d_in: usize,
+        base: &CerlConfig,
+        seed: u64,
+    ) -> Result<Box<dyn ContinualEstimator>, CerlError> {
         let mut cfg = base.clone();
         match self {
-            EstimatorSpec::CfrA => return Box::new(CfrA::new(d_in, cfg, seed)),
-            EstimatorSpec::CfrB => return Box::new(CfrB::new(d_in, cfg, seed)),
-            EstimatorSpec::CfrC => return Box::new(CfrC::new(d_in, cfg, seed)),
+            EstimatorSpec::CfrA => return Ok(Box::new(CfrA::new(d_in, cfg, seed)?)),
+            EstimatorSpec::CfrB => return Ok(Box::new(CfrB::new(d_in, cfg, seed)?)),
+            EstimatorSpec::CfrC => return Ok(Box::new(CfrC::new(d_in, cfg, seed)?)),
             EstimatorSpec::Cerl => {}
             EstimatorSpec::CerlWithoutFrt => cfg.ablation.feature_transform = false,
             EstimatorSpec::CerlWithoutHerding => cfg.ablation.herding = false,
             EstimatorSpec::CerlWithoutCosine => cfg.ablation.cosine_norm = false,
         }
-        Box::new(Cerl::new(d_in, cfg, seed))
+        Ok(Box::new(Cerl::try_new(d_in, cfg, seed)?))
     }
 
     /// The four main strategies of Tables I–II.
@@ -96,13 +101,14 @@ pub struct TwoDomainOutcome {
 
 /// Feed every domain of `stream` to the estimator in arrival order, then
 /// evaluate on each seen domain's test set.
-pub fn run_stream(est: &mut dyn ContinualEstimator, stream: &DomainStream) -> Vec<EffectMetrics> {
-    for d in 0..stream.len() {
-        est.observe(&stream.domain(d).train, &stream.domain(d).val);
+pub fn run_stream(
+    est: &mut dyn ContinualEstimator,
+    stream: &DomainStream,
+) -> Result<Vec<EffectMetrics>, CerlError> {
+    for d in stream.iter() {
+        est.try_observe(&d.train, &d.val)?;
     }
-    (0..stream.len())
-        .map(|d| est.evaluate(&stream.domain(d).test))
-        .collect()
+    stream.iter().map(|d| est.try_evaluate(&d.test)).collect()
 }
 
 /// Run a lineup of estimators over per-replication two-domain streams.
@@ -113,7 +119,7 @@ pub fn run_two_domain_comparison(
     streams: &[DomainStream],
     cfg: &CerlConfig,
     seed: u64,
-) -> Vec<TwoDomainOutcome> {
+) -> Result<Vec<TwoDomainOutcome>, CerlError> {
     assert!(
         streams.iter().all(|s| s.len() == 2),
         "two-domain comparison needs 2 domains"
@@ -125,16 +131,16 @@ pub fn run_two_domain_comparison(
             let mut new = Vec::with_capacity(streams.len());
             for (r, stream) in streams.iter().enumerate() {
                 let d_in = stream.domain(0).train.dim();
-                let mut est = spec.build(d_in, cfg, seeds::derive(seed, r as u64));
-                let ms = run_stream(est.as_mut(), stream);
+                let mut est = spec.build(d_in, cfg, seeds::derive(seed, r as u64))?;
+                let ms = run_stream(est.as_mut(), stream)?;
                 prev.push(ms[0]);
                 new.push(ms[1]);
             }
-            TwoDomainOutcome {
+            Ok(TwoDomainOutcome {
                 strategy: spec.label().to_string(),
                 prev,
                 new,
-            }
+            })
         })
         .collect()
 }
@@ -185,14 +191,17 @@ pub fn summarize_vs_reference(
 /// Metrics on the union of several test sets (used by Fig. 3 (a,b), where
 /// the paper reports performance on "test sets composed of previous data
 /// and new data").
-pub fn union_metrics(est: &dyn ContinualEstimator, tests: &[&CausalDataset]) -> EffectMetrics {
+pub fn union_metrics(
+    est: &dyn ContinualEstimator,
+    tests: &[&CausalDataset],
+) -> Result<EffectMetrics, CerlError> {
     let mut true_ite = Vec::new();
     let mut est_ite = Vec::new();
     for t in tests {
         true_ite.extend(t.true_ite());
-        est_ite.extend(est.predict_ite(&t.x));
+        est_ite.extend(est.try_predict_ite(&t.x)?);
     }
-    EffectMetrics::from_ite(&true_ite, &est_ite)
+    Ok(EffectMetrics::from_ite(&true_ite, &est_ite))
 }
 
 #[cfg(test)]
@@ -238,7 +247,8 @@ mod tests {
             &streams,
             &tiny_cfg(),
             1,
-        );
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         for o in &out {
             assert_eq!(o.prev.len(), 2);
@@ -278,10 +288,12 @@ mod tests {
     #[test]
     fn union_metrics_concatenates() {
         let streams = tiny_streams(1);
-        let mut est = EstimatorSpec::CfrA.build(streams[0].domain(0).train.dim(), &tiny_cfg(), 5);
-        est.observe(&streams[0].domain(0).train, &streams[0].domain(0).val);
+        let d_in = streams[0].domain(0).train.dim();
+        let mut est = EstimatorSpec::CfrA.build(d_in, &tiny_cfg(), 5).unwrap();
+        est.try_observe(&streams[0].domain(0).train, &streams[0].domain(0).val)
+            .unwrap();
         let tests = streams[0].test_sets_up_to(1);
-        let m = union_metrics(est.as_ref(), &tests);
+        let m = union_metrics(est.as_ref(), &tests).unwrap();
         assert!(m.sqrt_pehe.is_finite());
     }
 }

@@ -13,6 +13,7 @@ use crate::report::{render_table, write_json};
 use crate::scale::{model_config, synthetic_config, synthetic_units, RunArgs};
 use cerl_core::config::CerlConfig;
 use cerl_core::metrics::{mean_metrics, EffectMetrics};
+use cerl_core::CerlError;
 use cerl_data::{DomainStream, SyntheticGenerator};
 use cerl_rand::seeds;
 use serde::Serialize;
@@ -43,7 +44,7 @@ pub struct Fig3abResult {
 }
 
 /// Run Fig. 3 (a,b).
-pub fn run_ab(args: &RunArgs) -> Fig3abResult {
+pub fn run_ab(args: &RunArgs) -> Result<Fig3abResult, CerlError> {
     let n = synthetic_units(args.scale);
     let budgets = [n / 10, n / 2, n];
     let gen = SyntheticGenerator::new(synthetic_config(args.scale), args.seed);
@@ -68,7 +69,7 @@ pub fn run_ab(args: &RunArgs) -> Fig3abResult {
             &cfg,
             &streams,
             args.seed,
-        ));
+        )?);
     }
 
     // Optional in-text ablation: no cosine normalization at M = n/2.
@@ -87,7 +88,7 @@ pub fn run_ab(args: &RunArgs) -> Fig3abResult {
             &cfg,
             &streams,
             args.seed,
-        ));
+        )?);
     }
 
     // Ideal: retrain from scratch on all raw data after each domain.
@@ -99,13 +100,13 @@ pub fn run_ab(args: &RunArgs) -> Fig3abResult {
         &cfg,
         &streams,
         args.seed,
-    ));
+    )?);
 
-    Fig3abResult {
+    Ok(Fig3abResult {
         args: args.clone(),
         units_per_domain: n,
         points,
-    }
+    })
 }
 
 /// Evaluate one estimator spec over all replications, reporting union-test
@@ -116,19 +117,18 @@ fn run_series(
     cfg: &CerlConfig,
     streams: &[DomainStream],
     seed: u64,
-) -> Vec<SeriesPoint> {
+) -> Result<Vec<SeriesPoint>, CerlError> {
     let mut per_domain: Vec<Vec<EffectMetrics>> = vec![Vec::new(); N_DOMAINS];
     for (r, stream) in streams.iter().enumerate() {
         let d_in = stream.domain(0).train.dim();
-        let mut est = spec.build(d_in, cfg, seeds::derive(seed, r as u64));
-        #[allow(clippy::needless_range_loop)] // d indexes both stream and accumulator
-        for d in 0..stream.len() {
-            est.observe(&stream.domain(d).train, &stream.domain(d).val);
+        let mut est = spec.build(d_in, cfg, seeds::derive(seed, r as u64))?;
+        for (d, split) in stream.iter().enumerate() {
+            est.try_observe(&split.train, &split.val)?;
             let tests = stream.test_sets_up_to(d);
-            per_domain[d].push(union_metrics(est.as_ref(), &tests));
+            per_domain[d].push(union_metrics(est.as_ref(), &tests)?);
         }
     }
-    per_domain
+    Ok(per_domain
         .into_iter()
         .enumerate()
         .map(|(d, ms)| SeriesPoint {
@@ -136,7 +136,7 @@ fn run_series(
             after_domain: d + 1,
             metrics: mean_metrics(&ms),
         })
-        .collect()
+        .collect())
 }
 
 /// Print Fig. 3 (a,b) series and dump JSON.
@@ -193,7 +193,7 @@ pub struct Fig3cdResult {
 }
 
 /// Run Fig. 3 (c,d): sweep α and δ over decades on two-domain streams.
-pub fn run_cd(args: &RunArgs) -> Fig3cdResult {
+pub fn run_cd(args: &RunArgs) -> Result<Fig3cdResult, CerlError> {
     let values = [1e-3, 1e-2, 1e-1, 1.0, 10.0];
     let gen = SyntheticGenerator::new(synthetic_config(args.scale), args.seed);
     let streams: Vec<DomainStream> = (0..args.reps)
@@ -218,8 +218,8 @@ pub fn run_cd(args: &RunArgs) -> Fig3cdResult {
             for (r, stream) in streams.iter().enumerate() {
                 let d_in = stream.domain(0).train.dim();
                 let mut est =
-                    EstimatorSpec::Cerl.build(d_in, &cfg, seeds::derive(args.seed, r as u64));
-                let ms = crate::experiments::run_stream(est.as_mut(), stream);
+                    EstimatorSpec::Cerl.build(d_in, &cfg, seeds::derive(args.seed, r as u64))?;
+                let ms = crate::experiments::run_stream(est.as_mut(), stream)?;
                 prev.push(ms[0]);
                 new.push(ms[1]);
             }
@@ -231,10 +231,10 @@ pub fn run_cd(args: &RunArgs) -> Fig3cdResult {
             });
         }
     }
-    Fig3cdResult {
+    Ok(Fig3cdResult {
         args: args.clone(),
         points,
-    }
+    })
 }
 
 /// Print Fig. 3 (c,d) sweeps and dump JSON.

@@ -7,6 +7,9 @@
 //! * `--full` — paper-scale parameters (hours on a laptop; provided for
 //!   completeness).
 //! * `--reps N`, `--seed S` — replications and base seed.
+//!
+//! Each binary declares its own flags on top of these; any other flag
+//! exits 2 before anything runs.
 
 use cerl_core::config::{CerlConfig, NetConfig, TrainConfig};
 use cerl_data::{SemiSyntheticConfig, SyntheticConfig, TopicModelConfig};
@@ -37,32 +40,47 @@ pub struct RunArgs {
 }
 
 impl RunArgs {
-    /// Parse `std::env::args` style iterators.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Parse `std::env::args` style iterators: the common flags plus the
+    /// binary's own `flags`, of which those also in `valued` take a value
+    /// (both land in `extra`). The first flag that is neither, or a value
+    /// that is missing or does not parse, exits 2 with a message before
+    /// anything runs, so a stale or mistyped invocation (`table1 --help`)
+    /// fails instead of silently running the default experiment.
+    pub fn parse(mut args: impl Iterator<Item = String>, flags: &[&str], valued: &[&str]) -> Self {
+        fn usage(msg: &str, flags: &[&str]) -> ! {
+            let common = ["--quick", "--standard", "--full", "--reps N", "--seed S"];
+            let accepted: Vec<&str> = common.iter().chain(flags).copied().collect();
+            eprintln!("{msg}; accepted: {}", accepted.join(" "));
+            std::process::exit(2)
+        }
+        fn value<T: std::str::FromStr>(
+            it: &mut impl Iterator<Item = String>,
+            flag: &str,
+            flags: &[&str],
+        ) -> T {
+            match it.next().map(|v| v.parse()) {
+                Some(Ok(v)) => v,
+                _ => usage(&format!("missing or invalid value for {flag}"), flags),
+            }
+        }
         let mut scale = Scale::Standard;
         let mut reps: Option<usize> = None;
         let mut seed = 2023;
         let mut extra = Vec::new();
-        let mut it = args.peekable();
-        while let Some(a) = it.next() {
+        while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => scale = Scale::Quick,
                 "--standard" => scale = Scale::Standard,
                 "--full" => scale = Scale::Full,
-                "--reps" => {
-                    reps = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--reps needs an integer"),
-                    );
+                "--reps" => reps = Some(value(&mut args, "--reps", flags)),
+                "--seed" => seed = value(&mut args, "--seed", flags),
+                flag if flags.contains(&flag) => {
+                    extra.push(flag.to_string());
+                    if valued.contains(&flag) {
+                        extra.push(value(&mut args, flag, flags));
+                    }
                 }
-                "--seed" => {
-                    seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
-                }
-                other => extra.push(other.to_string()),
+                other => usage(&format!("unknown flag {other}"), flags),
             }
         }
         let reps = reps.unwrap_or(match scale {
@@ -251,7 +269,11 @@ mod tests {
     use super::*;
 
     fn parse(v: &[&str]) -> RunArgs {
-        RunArgs::parse(v.iter().map(|s| s.to_string()))
+        RunArgs::parse(
+            v.iter().map(|s| s.to_string()),
+            &["--ablate-cosine", "--units"],
+            &["--units"],
+        )
     }
 
     #[test]
@@ -270,6 +292,9 @@ mod tests {
         assert_eq!(a.seed, 9);
         assert!(a.has_flag("--ablate-cosine"));
         assert!(!a.has_flag("--other"));
+        let a = parse(&["--units", "100", "--quick"]);
+        assert_eq!(a.extra, vec!["--units", "100"]);
+        assert_eq!(a.scale, Scale::Quick);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::experiments::{
 };
 use crate::report::{fmt_metric, render_table, write_json};
 use crate::scale::{blogcatalog_config, model_config, news_config, table1_memory, RunArgs};
+use cerl_core::CerlError;
 use cerl_data::{DomainStream, SemiSyntheticGenerator};
 use serde::Serialize;
 
@@ -37,7 +38,7 @@ pub struct Table1Result {
 }
 
 /// Run the Table I experiment.
-pub fn run(args: &RunArgs) -> Table1Result {
+pub fn run(args: &RunArgs) -> Result<Table1Result, CerlError> {
     let mut cfg = model_config(args.scale);
     cfg.memory_size = table1_memory(args.scale);
     let mut rows = Vec::new();
@@ -54,16 +55,20 @@ pub fn run(args: &RunArgs) -> Table1Result {
             let streams: Vec<DomainStream> = (0..args.reps)
                 .map(|r| DomainStream::semisynthetic(&gen, shift, r as u64, args.seed))
                 .collect();
-            let outcomes =
-                run_two_domain_comparison(&EstimatorSpec::main_lineup(), &streams, &cfg, args.seed);
+            let outcomes = run_two_domain_comparison(
+                &EstimatorSpec::main_lineup(),
+                &streams,
+                &cfg,
+                args.seed,
+            )?;
             rows.extend(rows_from_outcomes(name, shift.label(), &outcomes));
         }
     }
-    Table1Result {
+    Ok(Table1Result {
         args: args.clone(),
         memory: cfg.memory_size,
         rows,
-    }
+    })
 }
 
 /// Convert raw outcomes into table rows with significance vs CERL.

@@ -7,6 +7,7 @@ use crate::experiments::{
 };
 use crate::report::{fmt_metric, render_table, write_json};
 use crate::scale::{model_config, synthetic_config, table2_memory, RunArgs};
+use cerl_core::CerlError;
 use cerl_data::{DomainStream, SyntheticGenerator};
 use serde::Serialize;
 
@@ -33,7 +34,7 @@ pub struct Table2Result {
 }
 
 /// Run the Table II experiment.
-pub fn run(args: &RunArgs) -> Table2Result {
+pub fn run(args: &RunArgs) -> Result<Table2Result, CerlError> {
     let mut cfg = model_config(args.scale);
     cfg.memory_size = table2_memory(args.scale);
 
@@ -48,7 +49,7 @@ pub fn run(args: &RunArgs) -> Table2Result {
         EstimatorSpec::table2_lineup().len()
     );
     let outcomes =
-        run_two_domain_comparison(&EstimatorSpec::table2_lineup(), &streams, &cfg, args.seed);
+        run_two_domain_comparison(&EstimatorSpec::table2_lineup(), &streams, &cfg, args.seed)?;
     let cerl = outcomes
         .iter()
         .find(|o| o.strategy == "CERL")
@@ -62,11 +63,11 @@ pub fn run(args: &RunArgs) -> Table2Result {
             new: summarize_vs_reference(&o.new, &cerl.new),
         })
         .collect();
-    Table2Result {
+    Ok(Table2Result {
         args: args.clone(),
         memory: cfg.memory_size,
         rows,
-    }
+    })
 }
 
 /// Print in the paper's layout and dump JSON.

@@ -12,15 +12,15 @@
 //! * **T-learner** — two networks `f₁(x)`, `f₀(x)` fit on the treated and
 //!   control subsets respectively; `ÎTE(x) = f₁(x) − f₀(x)`.
 
-use crate::config::CerlConfig;
+use crate::config::{CerlConfig, TrainConfig};
 use crate::error::CerlError;
 use crate::precision::mlp_output;
 use crate::strategies::ContinualEstimator;
-use crate::trainer::{minibatches, validate_stage_inputs, EarlyStopper, TrainReport};
+use crate::trainer::{run_stage, validate_stage_inputs, TrainReport};
 use cerl_data::{CausalDataset, OutcomeScaler, Standardizer};
 use cerl_math::Matrix;
 use cerl_nn::compose::mse;
-use cerl_nn::{Activation, Adam, Graph, Mlp, Optimizer, ParamStore};
+use cerl_nn::{Activation, Mlp, ParamStore};
 use cerl_rand::seeds;
 
 /// Append the treatment indicator as one extra covariate column.
@@ -29,72 +29,41 @@ fn augment_with_treatment(x: &Matrix, t: &[bool]) -> Matrix {
     x.hstack(&tcol)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Fit `net` to `(x, y)` as one stage of the shared loop: MSE on each
+/// mini-batch, early stopping on the MSE over `(xv, yv)`.
 fn train_regressor(
     store: &mut ParamStore,
     net: &Mlp,
-    x: &Matrix,
-    y: &[f64],
-    xv: &Matrix,
-    yv: &[f64],
-    cfg: &CerlConfig,
+    (x, y): (&Matrix, &[f64]),
+    (xv, yv): (&Matrix, &[f64]),
+    cfg: &TrainConfig,
     seed: u64,
-) -> TrainReport {
-    let params = net.params();
-    let mut opt = Adam::new(cfg.train.learning_rate);
-    let mut stopper = EarlyStopper::new(params.clone(), cfg.train.patience);
-    let mut rng = seeds::rng(seed, 0);
-    let y_mat = Matrix::col_vector(y);
-
-    let val_loss = |store: &ParamStore| -> f64 {
-        if xv.rows() == 0 {
-            return 0.0;
-        }
-        mlp_output(store, net, xv)
-            .iter()
-            .zip(yv)
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / xv.rows() as f64
-    };
-
-    let mut final_train_loss = f64::NAN;
-    let mut epochs_run = 0;
-    for _ in 0..cfg.train.epochs {
-        epochs_run += 1;
-        let mut epoch_loss = 0.0;
-        let batches = minibatches(
-            x.rows(),
-            cfg.train.batch_size.min(x.rows().max(2)),
-            &mut rng,
-        );
-        let n_batches = batches.len();
-        for batch in batches {
-            let xb = x.select_rows(&batch);
-            let yb = y_mat.select_rows(&batch);
-            let mut g = Graph::new();
-            let xin = g.input(xb);
-            let yin = g.input(yb);
-            let pred = net.forward(&mut g, store, xin);
-            let loss = mse(&mut g, pred, yin);
-            epoch_loss += g.scalar(loss);
-            let mut grads = g.backward(loss);
-            if cfg.train.clip_norm > 0.0 {
-                grads.clip_global_norm(cfg.train.clip_norm);
+) -> Result<TrainReport, CerlError> {
+    let y = Matrix::col_vector(y);
+    run_stage(
+        store,
+        &net.params(),
+        cfg,
+        x.rows(),
+        &mut seeds::rng(seed, 0),
+        |g, store, batch, _| {
+            let xin = g.input(x.select_rows(batch));
+            let yin = g.input(y.select_rows(batch));
+            let pred = net.forward(g, store, xin);
+            mse(g, pred, yin)
+        },
+        |store| {
+            if xv.rows() == 0 {
+                return Ok(0.0);
             }
-            opt.step(store, &grads, &params);
-        }
-        final_train_loss = epoch_loss / n_batches.max(1) as f64;
-        if stopper.update(store, val_loss(store)) {
-            break;
-        }
-    }
-    stopper.restore_best(store);
-    TrainReport {
-        epochs_run,
-        best_val_loss: stopper.best_loss(),
-        final_train_loss,
-    }
+            let se = mlp_output(store, net, xv)
+                .iter()
+                .zip(yv)
+                .map(|(p, t)| (p - t) * (p - t))
+                .sum::<f64>();
+            Ok(se / xv.rows() as f64)
+        },
+    )
 }
 
 /// S-learner: one regression network over `(x, t)`.
@@ -137,17 +106,6 @@ impl SLearner {
         }
     }
 
-    /// Train (or fine-tune) on one dataset.
-    ///
-    /// # Panics
-    /// On invalid input; [`SLearner::try_train`] is the fallible form.
-    pub fn train(&mut self, train: &CausalDataset, val: &CausalDataset) -> TrainReport {
-        match self.try_train(train, val) {
-            Ok(report) => report,
-            Err(e) => panic!("SLearner::train: {e}"),
-        }
-    }
-
     /// Train (or fine-tune) on one dataset, reporting malformed input as a
     /// typed error.
     pub fn try_train(
@@ -164,16 +122,14 @@ impl SLearner {
         let yv = y_scale.transform(&val.y);
         self.x_std = Some(x_std);
         self.y_scale = Some(y_scale);
-        Ok(train_regressor(
+        train_regressor(
             &mut self.store,
             &self.net,
-            &xs,
-            &ys,
-            &xv,
-            &yv,
-            &self.cfg,
+            (&xs, &ys),
+            (&xv, &yv),
+            &self.cfg.train,
             self.seed,
-        ))
+        )
     }
 }
 
@@ -241,16 +197,6 @@ impl TLearner {
         }
     }
 
-    /// Train (or fine-tune) on one dataset.
-    ///
-    /// # Panics
-    /// On invalid input; [`TLearner::try_train`] is the fallible form.
-    pub fn train(&mut self, train: &CausalDataset, val: &CausalDataset) {
-        if let Err(e) = self.try_train(train, val) {
-            panic!("TLearner::train: {e}");
-        }
-    }
-
     /// Train (or fine-tune) on one dataset, reporting malformed input as a
     /// typed error.
     pub fn try_train(
@@ -277,13 +223,11 @@ impl TLearner {
             train_regressor(
                 &mut self.store,
                 net,
-                &xs.select_rows(&idx),
-                &ya,
-                &xv.select_rows(&vidx),
-                &yva,
-                &self.cfg,
+                (&xs.select_rows(&idx), &ya),
+                (&xv.select_rows(&vidx), &yva),
+                &self.cfg.train,
                 seeds::derive(self.seed, arm as u64),
-            );
+            )?;
         }
         self.x_std = Some(x_std);
         self.y_scale = Some(y_scale);
@@ -345,9 +289,9 @@ mod tests {
     fn s_learner_beats_trivial() {
         let (train, val, test) = quick_data();
         let mut s = SLearner::new(train.dim(), quick_cfg(), 3);
-        let report = s.train(&train, &val);
+        let report = s.try_train(&train, &val).unwrap();
         assert!(report.best_val_loss.is_finite());
-        let m = EffectMetrics::on_dataset(&test, &s.predict_ite(&test.x));
+        let m = s.try_evaluate(&test).unwrap();
         let trivial = EffectMetrics::on_dataset(&test, &vec![0.0; test.n()]);
         assert!(m.sqrt_pehe < trivial.sqrt_pehe, "{m:?} vs {trivial:?}");
     }
@@ -359,8 +303,8 @@ mod tests {
         // however, must clearly beat the trivial zero estimator.
         let (train, val, test) = quick_data();
         let mut t = TLearner::new(train.dim(), quick_cfg(), 4);
-        t.train(&train, &val);
-        let m = EffectMetrics::on_dataset(&test, &t.predict_ite(&test.x));
+        t.try_train(&train, &val).unwrap();
+        let m = t.try_evaluate(&test).unwrap();
         let trivial = EffectMetrics::on_dataset(&test, &vec![0.0; test.n()]);
         assert!(
             m.ate_error < trivial.ate_error * 0.7,
@@ -382,8 +326,8 @@ mod tests {
             Box::new(TLearner::new(train.dim(), cfg, 5)),
         ];
         for est in &mut lineup {
-            est.observe(&train, &val);
-            let m = est.evaluate(&test);
+            est.try_observe(&train, &val).unwrap();
+            let m = est.try_evaluate(&test).unwrap();
             assert!(m.sqrt_pehe.is_finite(), "{}", est.name());
         }
         assert_eq!(lineup[0].name(), "S-learner");
@@ -399,8 +343,8 @@ mod tests {
         train.y = train.mu0.clone();
         val.t.iter_mut().for_each(|t| *t = false);
         let mut t = TLearner::new(train.dim(), quick_cfg(), 6);
-        t.train(&train, &val);
-        let ite = t.predict_ite(&test.x);
+        t.try_train(&train, &val).unwrap();
+        let ite = t.try_predict_ite(&test.x).unwrap();
         assert!(ite.iter().all(|v| v.is_finite()));
     }
 
@@ -410,8 +354,8 @@ mod tests {
         // check it differs across units (treatment column matters).
         let (train, val, test) = quick_data();
         let mut s = SLearner::new(train.dim(), quick_cfg(), 7);
-        s.train(&train, &val);
-        let ite = s.predict_ite(&test.x);
+        s.try_train(&train, &val).unwrap();
+        let ite = s.try_predict_ite(&test.x).unwrap();
         let spread = cerl_math::stats::std_dev(&ite);
         assert!(spread > 0.0, "S-learner predicts a constant effect");
     }

@@ -13,11 +13,11 @@ use crate::heads::OutcomeHeads;
 use crate::precision::{InferencePlan, Predictor};
 use crate::repr::ReprNet;
 use crate::snapshot::CfrState;
-use crate::trainer::{minibatches, validate_stage_inputs, EarlyStopper, TrainReport};
+use crate::trainer::{run_stage, validate_stage_inputs, TrainReport};
 use cerl_data::{CausalDataset, OutcomeScaler, Standardizer};
 use cerl_math::Matrix;
 use cerl_nn::compose::{elastic_net_penalty, mse, weighted_sum};
-use cerl_nn::{Adam, Graph, NodeId, Optimizer, ParamStore};
+use cerl_nn::{Graph, NodeId, ParamId, ParamStore};
 use cerl_ot::{linear_mmd, rbf_mmd, wasserstein, Bandwidth};
 use cerl_rand::seeds;
 
@@ -41,20 +41,8 @@ pub struct CfrModel {
 }
 
 impl CfrModel {
-    /// Create an untrained model for `d_in`-dimensional covariates.
-    ///
-    /// # Panics
-    /// On an invalid configuration; [`CfrModel::try_new`] is the fallible
-    /// form.
-    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Self {
-        match Self::try_new(d_in, cfg, seed) {
-            Ok(model) => model,
-            Err(e) => panic!("CfrModel::new: {e}"),
-        }
-    }
-
-    /// Create an untrained model, validating the configuration and the
-    /// covariate dimension first.
+    /// Create an untrained model for `d_in`-dimensional covariates,
+    /// validating the configuration and the covariate dimension first.
     pub fn try_new(d_in: usize, cfg: CerlConfig, seed: u64) -> Result<Self, CerlError> {
         cfg.validate()?;
         if d_in == 0 {
@@ -97,20 +85,11 @@ impl CfrModel {
     }
 
     /// Train from the current parameters on `train`, early-stopping on
-    /// `val`.
-    ///
-    /// # Panics
-    /// On invalid input; [`CfrModel::try_train`] is the fallible form.
-    pub fn train(&mut self, train: &CausalDataset, val: &CausalDataset) -> TrainReport {
-        match self.try_train(train, val) {
-            Ok(report) => report,
-            Err(e) => panic!("CfrModel::train: {e}"),
-        }
-    }
-
-    /// Train from the current parameters on `train`, early-stopping on
     /// `val`. Refits the covariate/outcome scalers on `train` (this is what
     /// fine-tuning strategies do when new data arrives).
+    ///
+    /// The loss is Eq. 5: factual MSE, plus `α`·IPM between the batch's
+    /// treated and control representations, plus `λ`·elastic net on `g`.
     pub fn try_train(
         &mut self,
         train: &CausalDataset,
@@ -126,119 +105,39 @@ impl CfrModel {
         self.x_std = Some(x_std);
         self.y_scale = Some(y_scale);
 
-        let params = {
-            let mut p = self.repr.params();
-            p.extend(self.heads.params());
-            p
-        };
-        let mut opt = Adam::new(self.cfg.train.learning_rate);
-        let mut stopper = EarlyStopper::new(params.clone(), self.cfg.train.patience);
+        let params = self.params();
         let mut rng = seeds::rng_labeled(self.seed, &format!("train-{}", self.stages_trained));
-
-        let mut final_train_loss = f64::NAN;
-        let mut epochs_run = 0;
-        for _epoch in 0..self.cfg.train.epochs {
-            epochs_run += 1;
-            let mut epoch_loss = 0.0;
-            let batches = minibatches(train.n(), self.cfg.train.batch_size, &mut rng);
-            let n_batches = batches.len();
-            for batch in batches {
-                let xb = xs.select_rows(&batch);
-                let yb = ys.select_rows(&batch);
+        let (store, repr, heads) = (&mut self.store, &self.repr, &self.heads);
+        let cfg = &self.cfg;
+        let report = run_stage(
+            store,
+            &params,
+            &cfg.train,
+            train.n(),
+            &mut rng,
+            |g, store, batch, _| {
                 let tb: Vec<bool> = batch.iter().map(|&i| train.t[i]).collect();
-
-                let mut g = Graph::new();
-                let x = g.input(xb);
-                let r = self.repr.forward(&mut g, &self.store, x);
-                let y_hat = self.heads.forward_factual(&mut g, &self.store, r, &tb);
-                let y_node = g.input(yb);
-                let ly = mse(&mut g, y_hat, y_node);
-
-                let mut terms = vec![(ly, 1.0)];
-                if let Some(ipm) = self.ipm_term(&mut g, r, &tb) {
-                    terms.push((ipm, self.cfg.alpha));
+                let x = g.input(xs.select_rows(batch));
+                let r = repr.forward(g, store, x);
+                let y_hat = heads.forward_factual(g, store, r, &tb);
+                let y = g.input(ys.select_rows(batch));
+                let mut terms = vec![(mse(g, y_hat, y), 1.0)];
+                if let Some(ipm) = balance_term(cfg, g, r, &tb, None) {
+                    terms.push((ipm, cfg.alpha));
                 }
-                if self.cfg.lambda > 0.0 {
-                    let lw = elastic_net_penalty(&mut g, &self.store, &self.repr.weights());
-                    terms.push((lw, self.cfg.lambda));
+                if cfg.lambda > 0.0 {
+                    let lw = elastic_net_penalty(g, store, &repr.weights());
+                    terms.push((lw, cfg.lambda));
                 }
-                let loss = weighted_sum(&mut g, &terms);
-                epoch_loss += g.scalar(loss);
-
-                let mut grads = g.backward(loss);
-                if self.cfg.train.clip_norm > 0.0 {
-                    grads.clip_global_norm(self.cfg.train.clip_norm);
-                }
-                opt.step(&mut self.store, &grads, &params);
-            }
-            final_train_loss = epoch_loss / n_batches.max(1) as f64;
-
-            let val_loss = self.factual_mse_scaled(&xv, &yv, &val.t)?;
-            if stopper.update(&self.store, val_loss) {
-                break;
-            }
-        }
-        stopper.restore_best(&mut self.store);
+                weighted_sum(g, &terms)
+            },
+            |store| {
+                let plan = InferencePlan::<f64>::network(store, repr, heads);
+                factual_mse_scaled(&plan, &xv, &yv, &val.t)
+            },
+        )?;
         self.stages_trained += 1;
-        Ok(TrainReport {
-            epochs_run,
-            best_val_loss: stopper.best_loss(),
-            final_train_loss,
-        })
-    }
-
-    /// IPM balance term between treated/control representations within a
-    /// batch; `None` when disabled or a group has < 2 units.
-    fn ipm_term(&self, g: &mut Graph, r: NodeId, t: &[bool]) -> Option<NodeId> {
-        if self.cfg.alpha == 0.0 || self.cfg.ipm == IpmKind::None {
-            return None;
-        }
-        let treated: Vec<usize> = (0..t.len()).filter(|&i| t[i]).collect();
-        let control: Vec<usize> = (0..t.len()).filter(|&i| !t[i]).collect();
-        if treated.len() < 2 || control.len() < 2 {
-            return None;
-        }
-        let rt = g.select_rows(r, &treated);
-        let rc = g.select_rows(r, &control);
-        match self.cfg.ipm {
-            IpmKind::Wasserstein => Some(wasserstein(g, rt, rc, self.cfg.sinkhorn())),
-            IpmKind::LinearMmd => Some(linear_mmd(g, rt, rc)),
-            IpmKind::RbfMmd => Some(rbf_mmd(g, rt, rc, Bandwidth::MedianHeuristic)),
-            IpmKind::None => None,
-        }
-    }
-
-    /// Factual MSE in scaled-outcome space on pre-standardized covariates
-    /// (validation criterion).
-    fn factual_mse_scaled(
-        &self,
-        x_std: &Matrix,
-        y_scaled: &[f64],
-        t: &[bool],
-    ) -> Result<f64, CerlError> {
-        if x_std.rows() == 0 {
-            return Ok(0.0);
-        }
-        let plan = InferencePlan::<f64>::network(&self.store, &self.repr, &self.heads);
-        let (y0, y1) = plan.predict_potential_outcomes(x_std)?;
-        let mut se = 0.0;
-        for i in 0..x_std.rows() {
-            let pred = if t[i] { y1[i] } else { y0[i] };
-            se += (pred - y_scaled[i]) * (pred - y_scaled[i]);
-        }
-        Ok(se / x_std.rows() as f64)
-    }
-
-    /// Representations of (raw) covariates under the trained pipeline.
-    ///
-    /// # Panics
-    /// If called before training; [`CfrModel::try_embed`] is the fallible
-    /// form.
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        match self.try_embed(x) {
-            Ok(r) => r,
-            Err(e) => panic!("CfrModel::embed: {e}"),
-        }
+        Ok(report)
     }
 
     /// Representations of (raw) covariates under the trained pipeline,
@@ -248,18 +147,6 @@ impl CfrModel {
         InferencePlan::<f64>::compile(self)?.embed(x)
     }
 
-    /// Predict both potential outcomes (original outcome scale).
-    ///
-    /// # Panics
-    /// If called before training;
-    /// [`CfrModel::try_predict_potential_outcomes`] is the fallible form.
-    pub fn predict_potential_outcomes(&self, x: &Matrix) -> (Vec<f64>, Vec<f64>) {
-        match self.try_predict_potential_outcomes(x) {
-            Ok(pair) => pair,
-            Err(e) => panic!("CfrModel::predict_potential_outcomes: {e}"),
-        }
-    }
-
     /// Predict both potential outcomes (original outcome scale), failing
     /// with a typed error before training or on a dimension mismatch.
     pub fn try_predict_potential_outcomes(
@@ -267,18 +154,6 @@ impl CfrModel {
         x: &Matrix,
     ) -> Result<(Vec<f64>, Vec<f64>), CerlError> {
         InferencePlan::<f64>::compile(self)?.predict_potential_outcomes(x)
-    }
-
-    /// Predicted individual treatment effects `ŷ₁ − ŷ₀`.
-    ///
-    /// # Panics
-    /// If called before training; [`CfrModel::try_predict_ite`] is the
-    /// fallible form.
-    pub fn predict_ite(&self, x: &Matrix) -> Vec<f64> {
-        match self.try_predict_ite(x) {
-            Ok(ite) => ite,
-            Err(e) => panic!("CfrModel::predict_ite: {e}"),
-        }
     }
 
     /// Predicted individual treatment effects `ŷ₁ − ŷ₀`, failing with a
@@ -295,6 +170,18 @@ impl CfrModel {
 
     pub(crate) fn store_mut(&mut self) -> &mut ParamStore {
         &mut self.store
+    }
+
+    /// The store to train, beside the networks a loss reads it through.
+    pub(crate) fn parts_mut(&mut self) -> (&mut ParamStore, &ReprNet, &OutcomeHeads) {
+        (&mut self.store, &self.repr, &self.heads)
+    }
+
+    /// Parameters of `g` and `h`, in the order the optimiser steps them.
+    pub(crate) fn params(&self) -> Vec<ParamId> {
+        let mut p = self.repr.params();
+        p.extend(self.heads.params());
+        p
     }
 
     pub(crate) fn repr(&self) -> &ReprNet {
@@ -377,6 +264,76 @@ impl CfrModel {
     }
 }
 
+/// IPM balance term between the treated and control rows of `r`
+/// (Eq. 3). With `mem` (CERL's φ-mapped memory rows and their treatments)
+/// each group is stacked under its memory rows, balancing the global
+/// representation space. `None` when disabled or a group has < 2 rows.
+pub(crate) fn balance_term(
+    cfg: &CerlConfig,
+    g: &mut Graph,
+    r: NodeId,
+    t: &[bool],
+    mem: Option<(NodeId, &[bool])>,
+) -> Option<NodeId> {
+    if cfg.alpha == 0.0 || cfg.ipm == IpmKind::None {
+        return None;
+    }
+    let split = |t: &[bool]| -> (Vec<usize>, Vec<usize>) { (0..t.len()).partition(|&i| t[i]) };
+    let (nt, nc) = split(t);
+    let (treated, control) = match mem {
+        Some((phi_mem, mt)) => {
+            let (mt_idx, mc_idx) = split(mt);
+            if nt.len() + mt_idx.len() < 2 || nc.len() + mc_idx.len() < 2 {
+                return None;
+            }
+            let new_t = g.select_rows(r, &nt);
+            let new_c = g.select_rows(r, &nc);
+            let mem_t = g.select_rows(phi_mem, &mt_idx);
+            let mem_c = g.select_rows(phi_mem, &mc_idx);
+            (g.concat_rows(mem_t, new_t), g.concat_rows(mem_c, new_c))
+        }
+        None => {
+            if nt.len() < 2 || nc.len() < 2 {
+                return None;
+            }
+            (g.select_rows(r, &nt), g.select_rows(r, &nc))
+        }
+    };
+    match cfg.ipm {
+        IpmKind::Wasserstein => Some(wasserstein(g, treated, control, cfg.sinkhorn())),
+        IpmKind::LinearMmd => Some(linear_mmd(g, treated, control)),
+        IpmKind::RbfMmd => Some(rbf_mmd(g, treated, control, Bandwidth::MedianHeuristic)),
+        IpmKind::None => None,
+    }
+}
+
+/// Mean squared error of the factual prediction (`ŷ₁` where treated, `ŷ₀`
+/// otherwise) against `y`: the validation criterion of every
+/// CFR-backbone stage. The caller guarantees at least one unit.
+pub(crate) fn factual_mse(y0: &[f64], y1: &[f64], t: &[bool], y: &[f64]) -> f64 {
+    let mut se = 0.0;
+    for i in 0..y.len() {
+        let pred = if t[i] { y1[i] } else { y0[i] };
+        se += (pred - y[i]) * (pred - y[i]);
+    }
+    se / y.len() as f64
+}
+
+/// Factual MSE of `plan` on standardized covariates and scaled outcomes
+/// (0 on an empty split): the validation criterion of a CFR stage.
+pub(crate) fn factual_mse_scaled(
+    plan: &InferencePlan<f64>,
+    x_std: &Matrix,
+    y_scaled: &[f64],
+    t: &[bool],
+) -> Result<f64, CerlError> {
+    if x_std.rows() == 0 {
+        return Ok(0.0);
+    }
+    let (y0, y1) = plan.predict_potential_outcomes(x_std)?;
+    Ok(factual_mse(&y0, &y1, t, y_scaled))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,12 +360,12 @@ mod tests {
         let (train, val, test) = quick_data();
         let mut cfg = CerlConfig::quick_test();
         cfg.train.epochs = 40;
-        let mut model = CfrModel::new(train.dim(), cfg, 3);
-        let report = model.train(&train, &val);
+        let mut model = CfrModel::try_new(train.dim(), cfg, 3).unwrap();
+        let report = model.try_train(&train, &val).unwrap();
         assert!(report.best_val_loss.is_finite());
         assert!(report.epochs_run >= 1);
 
-        let est = model.predict_ite(&test.x);
+        let est = model.try_predict_ite(&test.x).unwrap();
         let m = EffectMetrics::on_dataset(&test, &est);
         // True ATE ≈ 0.4–0.6 with τ = sin²; an untrained/na(ï)ve zero
         // estimator would have √PEHE ≈ 0.55. Require clear improvement.
@@ -423,12 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_before_training_panics() {
-        let model = CfrModel::new(5, CerlConfig::quick_test(), 1);
+    fn predict_before_training_is_not_trained() {
+        let model = CfrModel::try_new(5, CerlConfig::quick_test(), 1).unwrap();
         let x = Matrix::zeros(2, 5);
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.predict_ite(&x)));
-        assert!(result.is_err());
+        assert_eq!(model.try_predict_ite(&x), Err(CerlError::NotTrained));
     }
 
     #[test]
@@ -436,12 +391,11 @@ mod tests {
         let (train, val, _) = quick_data();
         let cfg = CerlConfig::quick_test();
         let repr_dim = cfg.net.repr_dim;
-        let mut model = CfrModel::new(train.dim(), cfg, 5);
-        let small_cfg_train = train.clone();
+        let mut model = CfrModel::try_new(train.dim(), cfg, 5).unwrap();
         // Train briefly just to fit scalers.
         model.cfg.train.epochs = 2;
-        model.train(&small_cfg_train, &val);
-        let r = model.embed(&train.x);
+        model.try_train(&train, &val).unwrap();
+        let r = model.try_embed(&train.x).unwrap();
         assert_eq!(r.shape(), (train.n(), repr_dim));
     }
 
@@ -450,12 +404,12 @@ mod tests {
         let (train, val, test) = quick_data();
         let mut cfg = CerlConfig::quick_test();
         cfg.train.epochs = 5;
-        let mut m1 = CfrModel::new(train.dim(), cfg.clone(), 11);
-        let mut m2 = CfrModel::new(train.dim(), cfg, 11);
-        m1.train(&train, &val);
-        m2.train(&train, &val);
-        let e1 = m1.predict_ite(&test.x);
-        let e2 = m2.predict_ite(&test.x);
+        let mut m1 = CfrModel::try_new(train.dim(), cfg.clone(), 11).unwrap();
+        let mut m2 = CfrModel::try_new(train.dim(), cfg, 11).unwrap();
+        m1.try_train(&train, &val).unwrap();
+        m2.try_train(&train, &val).unwrap();
+        let e1 = m1.try_predict_ite(&test.x).unwrap();
+        let e2 = m2.try_predict_ite(&test.x).unwrap();
         for (a, b) in e1.iter().zip(&e2) {
             assert_eq!(a, b, "non-deterministic training");
         }

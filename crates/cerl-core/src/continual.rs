@@ -21,21 +21,22 @@
 //! At stage end the memory is rebuilt as `{R_d, Y_d, T_d} ∪ φ(M_{d-1})`,
 //! reduced by per-group herding to the memory budget.
 
-use crate::cfr::CfrModel;
-use crate::config::{CerlConfig, DistillKind, IpmKind};
+use crate::cfr::{balance_term, factual_mse, factual_mse_scaled, CfrModel};
+use crate::config::{CerlConfig, DistillKind};
 use crate::error::CerlError;
+use crate::heads::OutcomeHeads;
 use crate::memory::Memory;
 use crate::precision::{InferencePlan, Predictor};
+use crate::repr::ReprNet;
 use crate::snapshot::ModelSnapshot;
-use crate::trainer::{minibatches, validate_stage_inputs, EarlyStopper, TrainReport};
+use crate::trainer::{run_stage, validate_stage_inputs, TrainReport};
 use crate::transform::FeatureTransform;
 use cerl_data::{CausalDataset, OutcomeScaler, Standardizer};
 use cerl_math::Matrix;
 use cerl_nn::compose::{
     elastic_net_penalty, mean_cosine_distance, mean_squared_distance, mse, weighted_sum,
 };
-use cerl_nn::{Adam, Graph, NodeId, Optimizer};
-use cerl_ot::{linear_mmd, rbf_mmd, wasserstein, Bandwidth};
+use cerl_nn::{Adam, Graph, NodeId, Optimizer, ParamStore};
 use cerl_rand::seeds;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -62,19 +63,8 @@ pub struct Cerl {
 }
 
 impl Cerl {
-    /// Create an untrained learner for `d_in`-dimensional covariates.
-    ///
-    /// # Panics
-    /// On an invalid configuration; [`Cerl::try_new`] is the fallible form.
-    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Self {
-        match Self::try_new(d_in, cfg, seed) {
-            Ok(cerl) => cerl,
-            Err(e) => panic!("Cerl::new: {e}"),
-        }
-    }
-
-    /// Create an untrained learner, validating the configuration and the
-    /// covariate dimension first.
+    /// Create an untrained learner for `d_in`-dimensional covariates,
+    /// validating the configuration and the covariate dimension first.
     pub fn try_new(d_in: usize, cfg: CerlConfig, seed: u64) -> Result<Self, CerlError> {
         let model = CfrModel::try_new(d_in, cfg.clone(), seed)?;
         Ok(Self {
@@ -117,19 +107,8 @@ impl Cerl {
         &self.cfg
     }
 
-    /// Observe the next incrementally available domain (Algorithm 1 step).
-    ///
-    /// # Panics
-    /// On invalid input; [`Cerl::try_observe`] is the fallible form.
-    pub fn observe(&mut self, train: &CausalDataset, val: &CausalDataset) -> StageReport {
-        match self.try_observe(train, val) {
-            Ok(report) => report,
-            Err(e) => panic!("Cerl::observe: {e}"),
-        }
-    }
-
     /// Observe the next incrementally available domain (Algorithm 1 step),
-    /// failing with a typed error on malformed input instead of panicking.
+    /// failing with a typed error on malformed input.
     ///
     /// On error the learner is left exactly as it was: validation happens
     /// before any training step mutates parameters or memory.
@@ -152,34 +131,11 @@ impl Cerl {
         })
     }
 
-    /// Predicted ITE on raw covariates (current model, any seen domain).
-    ///
-    /// # Panics
-    /// Before the first stage; [`Cerl::try_predict_ite`] is the fallible
-    /// form.
-    pub fn predict_ite(&self, x: &Matrix) -> Vec<f64> {
-        match self.try_predict_ite(x) {
-            Ok(ite) => ite,
-            Err(e) => panic!("Cerl::predict_ite: {e}"),
-        }
-    }
-
-    /// Predicted ITE on raw covariates, failing with a typed error before
-    /// the first stage or on a covariate-dimension mismatch.
+    /// Predicted ITE on raw covariates (current model, any seen domain),
+    /// failing with a typed error before the first stage or on a
+    /// covariate-dimension mismatch.
     pub fn try_predict_ite(&self, x: &Matrix) -> Result<Vec<f64>, CerlError> {
         self.model.try_predict_ite(x)
-    }
-
-    /// Predicted potential outcomes on raw covariates.
-    ///
-    /// # Panics
-    /// Before the first stage; [`Cerl::try_predict_potential_outcomes`] is
-    /// the fallible form.
-    pub fn predict_potential_outcomes(&self, x: &Matrix) -> (Vec<f64>, Vec<f64>) {
-        match self.try_predict_potential_outcomes(x) {
-            Ok(pair) => pair,
-            Err(e) => panic!("Cerl::predict_potential_outcomes: {e}"),
-        }
     }
 
     /// Predicted potential outcomes on raw covariates, failing with a typed
@@ -191,19 +147,9 @@ impl Cerl {
         self.model.try_predict_potential_outcomes(x)
     }
 
-    /// Representations of raw covariates under the current pipeline.
-    ///
-    /// # Panics
-    /// Before the first stage; [`Cerl::try_embed`] is the fallible form.
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        match self.try_embed(x) {
-            Ok(r) => r,
-            Err(e) => panic!("Cerl::embed: {e}"),
-        }
-    }
-
-    /// Representations of raw covariates, failing with a typed error before
-    /// the first stage or on a dimension mismatch.
+    /// Representations of raw covariates under the current pipeline,
+    /// failing with a typed error before the first stage or on a dimension
+    /// mismatch.
     pub fn try_embed(&self, x: &Matrix) -> Result<Matrix, CerlError> {
         self.model.try_embed(x)
     }
@@ -298,7 +244,7 @@ impl Cerl {
         let phi = FeatureTransform::new(
             self.model.store_mut(),
             &mut rng,
-            &self.cfg.net.clone(),
+            &self.cfg.net,
             &format!("phi{}", self.stage),
         );
 
@@ -332,263 +278,57 @@ impl Cerl {
                 let k = self.cfg.train.batch_size.min(n);
                 let start = (step * k) % n;
                 let idx: Vec<usize> = (0..k).map(|i| (start + i) % n).collect();
-                let (loss, grads) = {
-                    let store = self.model.store();
+                let grads = {
                     let mut g = Graph::new();
                     let src = g.input(r_old_full.select_rows(&idx));
                     let tgt = g.input(r_new_init.select_rows(&idx));
-                    let mapped = phi.forward(&mut g, store, src);
-                    let l = match self.cfg.distill_loss {
-                        DistillKind::SquaredL2 => mean_squared_distance(&mut g, mapped, tgt),
-                        DistillKind::Cosine => mean_cosine_distance(&mut g, mapped, tgt),
-                    };
-                    (l, g.backward(l))
+                    let mapped = phi.forward(&mut g, self.model.store(), src);
+                    let l = distance(self.cfg.distill_loss, &mut g, mapped, tgt);
+                    g.backward(l)
                 };
-                let _ = loss;
                 phi_opt.step(self.model.store_mut(), &grads, &phi_params);
             }
         }
 
-        let params = {
-            let mut p = self.model.repr().params();
-            p.extend(self.model.heads().params());
-            if use_transform {
-                p.extend(phi.params());
-            }
-            p
-        };
-        let mut opt = Adam::new(self.cfg.train.learning_rate);
-        let mut stopper = EarlyStopper::new(params.clone(), self.cfg.train.patience);
-
-        let mut final_train_loss = f64::NAN;
-        let mut epochs_run = 0;
-        for _epoch in 0..self.cfg.train.epochs {
-            epochs_run += 1;
-            let mut epoch_loss = 0.0;
-            let batches = minibatches(train.n(), self.cfg.train.batch_size, &mut rng);
-            let n_batches = batches.len();
-            for batch in batches {
-                let loss_val = self.continual_step(
-                    &batch,
-                    &xs,
-                    &ys,
-                    train,
-                    &r_old_full,
-                    &phi,
-                    mem.as_ref(),
-                    &mem_y_scaled,
-                    &params,
-                    &mut opt,
-                    &mut rng,
-                );
-                epoch_loss += loss_val;
-            }
-            final_train_loss = epoch_loss / n_batches.max(1) as f64;
-
-            let val_loss =
-                self.stage_val_loss(&xv, &yv, &val.t, &phi, mem.as_ref(), &mem_y_scaled)?;
-            if stopper.update(self.model.store(), val_loss) {
-                break;
-            }
+        let mut params = self.model.params();
+        if use_transform {
+            params.extend(phi.params());
         }
-        stopper.restore_best(self.model.store_mut());
+        let cfg = &self.cfg;
+        let (store, repr, heads) = self.model.parts_mut();
+        let objective = ContinualObjective {
+            cfg,
+            repr,
+            heads,
+            phi: &phi,
+            xs: &xs,
+            ys: &ys,
+            t: &train.t,
+            r_old: &r_old_full,
+            mem: mem.as_ref(),
+            mem_y: &mem_y_scaled,
+        };
+        let report = run_stage(
+            store,
+            &params,
+            &cfg.train,
+            train.n(),
+            &mut rng,
+            |g, store, batch, rng| objective.step_loss(g, store, batch, rng),
+            |store| objective.val_loss(store, &xv, &yv, &val.t),
+        )?;
 
         // Transform the stored memory into the new representation space.
         if use_transform {
             if let Some(m) = &self.memory {
-                let transformed = phi.apply(self.model.store(), &m.r);
-                self.memory = Some(Memory::new(transformed, m.y.clone(), m.t.clone()));
+                let r = phi.apply(self.model.store(), &m.r);
+                self.memory = Some(Memory::try_new(r, m.y.clone(), m.t.clone())?);
             }
         } else {
             self.memory = None;
         }
         self.model.bump_stage();
-        Ok(TrainReport {
-            epochs_run,
-            best_val_loss: stopper.best_loss(),
-            final_train_loss,
-        })
-    }
-
-    /// One optimization step of the continual objective; returns the loss.
-    #[allow(clippy::too_many_arguments)]
-    fn continual_step<R: Rng + ?Sized>(
-        &mut self,
-        batch: &[usize],
-        xs: &Matrix,
-        ys: &Matrix,
-        train: &CausalDataset,
-        r_old_full: &Matrix,
-        phi: &FeatureTransform,
-        mem: Option<&Memory>,
-        mem_y_scaled: &[f64],
-        params: &[cerl_nn::ParamId],
-        opt: &mut Adam,
-        rng: &mut R,
-    ) -> f64 {
-        let xb = xs.select_rows(batch);
-        let yb = ys.select_rows(batch);
-        let tb: Vec<bool> = batch.iter().map(|&i| train.t[i]).collect();
-        let r_old_b = r_old_full.select_rows(batch);
-
-        // Build the tape under an immutable borrow; the returned gradients
-        // own their data, so the optimizer step below can borrow mutably.
-        let (loss_val, mut grads) = {
-            let store = self.model.store();
-            let mut g = Graph::new();
-            let x = g.input(xb);
-            let r_new = self.model.repr().forward(&mut g, store, x);
-            let y_hat = self
-                .model
-                .heads()
-                .forward_factual(&mut g, store, r_new, &tb);
-            let y_node = g.input(yb);
-            let l_new = mse(&mut g, y_hat, y_node);
-
-            let mut terms = vec![(l_new, 1.0)];
-
-            // L_FD: distillation toward the frozen previous representations.
-            let r_old_node = g.input(r_old_b);
-            if self.cfg.beta > 0.0 {
-                let lfd = match self.cfg.distill_loss {
-                    DistillKind::SquaredL2 => mean_squared_distance(&mut g, r_old_node, r_new),
-                    DistillKind::Cosine => mean_cosine_distance(&mut g, r_old_node, r_new),
-                };
-                terms.push((lfd, self.cfg.beta));
-            }
-
-            // L_FT and memory-side L_G when the transformation is enabled.
-            let mut mem_nodes: Option<(NodeId, Vec<bool>)> = None;
-            if let Some(mem) = mem {
-                if self.cfg.delta > 0.0 {
-                    let phi_new = phi.forward(&mut g, store, r_old_node);
-                    let lft = match self.cfg.distill_loss {
-                        DistillKind::SquaredL2 => mean_squared_distance(&mut g, phi_new, r_new),
-                        DistillKind::Cosine => mean_cosine_distance(&mut g, phi_new, r_new),
-                    };
-                    terms.push((lft, self.cfg.delta));
-                }
-                if !mem.is_empty() {
-                    let k = self.cfg.train.memory_batch_size.min(mem.len()).max(2);
-                    let midx: Vec<usize> = (0..k).map(|_| rng.gen_range(0..mem.len())).collect();
-                    let mr = mem.r.select_rows(&midx);
-                    let mt: Vec<bool> = midx.iter().map(|&i| mem.t[i]).collect();
-                    let my = Matrix::from_fn(k, 1, |i, _| mem_y_scaled[midx[i]]);
-                    let mr_node = g.input(mr);
-                    let phi_mem = phi.forward(&mut g, store, mr_node);
-                    let y_mem_hat = self
-                        .model
-                        .heads()
-                        .forward_factual(&mut g, store, phi_mem, &mt);
-                    let my_node = g.input(my);
-                    let l_mem = mse(&mut g, y_mem_hat, my_node);
-                    terms.push((l_mem, 1.0));
-                    mem_nodes = Some((phi_mem, mt));
-                }
-            }
-
-            // Global IPM over (transformed memory ∪ new) representations.
-            if let Some(ipm) = self.global_ipm(&mut g, r_new, &tb, mem_nodes.as_ref()) {
-                terms.push((ipm, self.cfg.alpha));
-            }
-
-            if self.cfg.lambda > 0.0 {
-                let lw = elastic_net_penalty(&mut g, store, &self.model.repr().weights());
-                terms.push((lw, self.cfg.lambda));
-            }
-
-            let loss = weighted_sum(&mut g, &terms);
-            let loss_val = g.scalar(loss);
-            (loss_val, g.backward(loss))
-        };
-
-        if self.cfg.train.clip_norm > 0.0 {
-            grads.clip_global_norm(self.cfg.train.clip_norm);
-        }
-        opt.step(self.model.store_mut(), &grads, params);
-        loss_val
-    }
-
-    /// IPM over the global representation space: treated/control stacks of
-    /// transformed-memory plus new-data representations.
-    fn global_ipm(
-        &self,
-        g: &mut Graph,
-        r_new: NodeId,
-        t_new: &[bool],
-        mem_nodes: Option<&(NodeId, Vec<bool>)>,
-    ) -> Option<NodeId> {
-        if self.cfg.alpha == 0.0 || self.cfg.ipm == IpmKind::None {
-            return None;
-        }
-        let nt: Vec<usize> = (0..t_new.len()).filter(|&i| t_new[i]).collect();
-        let nc: Vec<usize> = (0..t_new.len()).filter(|&i| !t_new[i]).collect();
-
-        let (treated, control) = match mem_nodes {
-            Some((phi_mem, mt)) => {
-                let mt_idx: Vec<usize> = (0..mt.len()).filter(|&i| mt[i]).collect();
-                let mc_idx: Vec<usize> = (0..mt.len()).filter(|&i| !mt[i]).collect();
-                if nt.len() + mt_idx.len() < 2 || nc.len() + mc_idx.len() < 2 {
-                    return None;
-                }
-                let new_t = g.select_rows(r_new, &nt);
-                let new_c = g.select_rows(r_new, &nc);
-                let mem_t = g.select_rows(*phi_mem, &mt_idx);
-                let mem_c = g.select_rows(*phi_mem, &mc_idx);
-                (g.concat_rows(mem_t, new_t), g.concat_rows(mem_c, new_c))
-            }
-            None => {
-                if nt.len() < 2 || nc.len() < 2 {
-                    return None;
-                }
-                (g.select_rows(r_new, &nt), g.select_rows(r_new, &nc))
-            }
-        };
-        match self.cfg.ipm {
-            IpmKind::Wasserstein => Some(wasserstein(g, treated, control, self.cfg.sinkhorn())),
-            IpmKind::LinearMmd => Some(linear_mmd(g, treated, control)),
-            IpmKind::RbfMmd => Some(rbf_mmd(g, treated, control, Bandwidth::MedianHeuristic)),
-            IpmKind::None => None,
-        }
-    }
-
-    /// Early-stopping criterion for a continual stage: new-domain factual
-    /// MSE plus the memory factual MSE (both in scaled-outcome space), so
-    /// the snapshot balances plasticity and retention.
-    fn stage_val_loss(
-        &self,
-        xv_std: &Matrix,
-        yv_scaled: &[f64],
-        tv: &[bool],
-        phi: &FeatureTransform,
-        mem: Option<&Memory>,
-        mem_y_scaled: &[f64],
-    ) -> Result<f64, CerlError> {
-        let store = self.model.store();
-        let plan = InferencePlan::<f64>::network(store, self.model.repr(), self.model.heads());
-        let mut loss = 0.0;
-        if xv_std.rows() > 0 {
-            let (y0, y1) = plan.predict_potential_outcomes(xv_std)?;
-            let mut se = 0.0;
-            for i in 0..xv_std.rows() {
-                let pred = if tv[i] { y1[i] } else { y0[i] };
-                se += (pred - yv_scaled[i]) * (pred - yv_scaled[i]);
-            }
-            loss += se / xv_std.rows() as f64;
-        }
-        if let Some(m) = mem {
-            if !m.is_empty() {
-                let mapped = phi.apply(store, &m.r);
-                let (y0, y1) = plan.heads(&mapped);
-                let mut se = 0.0;
-                for i in 0..m.len() {
-                    let pred = if m.t[i] { y1[i] } else { y0[i] };
-                    se += (pred - mem_y_scaled[i]) * (pred - mem_y_scaled[i]);
-                }
-                loss += se / m.len() as f64;
-            }
-        }
-        Ok(loss)
+        Ok(report)
     }
 
     /// `M_d = herding({R_d, Y_d, T_d} ∪ φ(M_{d-1}))` (the φ part was already
@@ -603,7 +343,7 @@ impl Cerl {
             self.memory = None;
             return Ok(());
         }
-        let r_new = self.model.embed(&train.x);
+        let r_new = self.model.try_embed(&train.x)?;
         let new_part = Memory::try_new(r_new, train.y.clone(), train.t.clone())?;
         let combined = match &self.memory {
             Some(old) => new_part.try_concat(old)?,
@@ -613,6 +353,107 @@ impl Cerl {
         self.memory =
             Some(combined.reduce(self.cfg.memory_size, self.cfg.ablation.herding, &mut rng));
         Ok(())
+    }
+}
+
+/// Distillation distance between two representation batches (`L_FD`,
+/// `L_FT` and φ's warm-up), in the configured form.
+fn distance(kind: DistillKind, g: &mut Graph, a: NodeId, b: NodeId) -> NodeId {
+    match kind {
+        DistillKind::SquaredL2 => mean_squared_distance(g, a, b),
+        DistillKind::Cosine => mean_cosine_distance(g, a, b),
+    }
+}
+
+/// The stage-`d` objective (Eq. 9) on one stage's fixed inputs: the new
+/// domain in the stage's pipeline, the frozen `g_{d-1}` representations of
+/// it, and the memory with its scaled outcomes.
+struct ContinualObjective<'a> {
+    cfg: &'a CerlConfig,
+    repr: &'a ReprNet,
+    heads: &'a OutcomeHeads,
+    phi: &'a FeatureTransform,
+    xs: &'a Matrix,
+    ys: &'a Matrix,
+    t: &'a [bool],
+    r_old: &'a Matrix,
+    mem: Option<&'a Memory>,
+    mem_y: &'a [f64],
+}
+
+impl ContinualObjective<'_> {
+    /// `L_G + α·Wass + λ·L_w + β·L_FD + δ·L_FT` on one mini-batch of the
+    /// new domain and `memory_batch_size` memory rows drawn from `rng`.
+    fn step_loss<R: Rng>(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        batch: &[usize],
+        rng: &mut R,
+    ) -> NodeId {
+        let cfg = self.cfg;
+        let tb: Vec<bool> = batch.iter().map(|&i| self.t[i]).collect();
+        let x = g.input(self.xs.select_rows(batch));
+        let r_new = self.repr.forward(g, store, x);
+        let y_hat = self.heads.forward_factual(g, store, r_new, &tb);
+        let y = g.input(self.ys.select_rows(batch));
+        let mut terms = vec![(mse(g, y_hat, y), 1.0)];
+
+        // L_FD: distillation toward the frozen previous representations.
+        let r_old = g.input(self.r_old.select_rows(batch));
+        if cfg.beta > 0.0 {
+            terms.push((distance(cfg.distill_loss, g, r_old, r_new), cfg.beta));
+        }
+
+        // L_FT and memory-side L_G when the transformation is enabled.
+        let mut mem_rows: Option<(NodeId, Vec<bool>)> = None;
+        if let Some(mem) = self.mem {
+            if cfg.delta > 0.0 {
+                let phi_new = self.phi.forward(g, store, r_old);
+                terms.push((distance(cfg.distill_loss, g, phi_new, r_new), cfg.delta));
+            }
+            if !mem.is_empty() {
+                let k = cfg.train.memory_batch_size.min(mem.len()).max(2);
+                let midx: Vec<usize> = (0..k).map(|_| rng.gen_range(0..mem.len())).collect();
+                let mt: Vec<bool> = midx.iter().map(|&i| mem.t[i]).collect();
+                let mr = g.input(mem.r.select_rows(&midx));
+                let phi_mem = self.phi.forward(g, store, mr);
+                let y_mem_hat = self.heads.forward_factual(g, store, phi_mem, &mt);
+                let my = g.input(Matrix::from_fn(k, 1, |i, _| self.mem_y[midx[i]]));
+                terms.push((mse(g, y_mem_hat, my), 1.0));
+                mem_rows = Some((phi_mem, mt));
+            }
+        }
+
+        // Global IPM over (transformed memory ∪ new) representations.
+        let mem_rows = mem_rows.as_ref().map(|(node, mt)| (*node, mt.as_slice()));
+        if let Some(ipm) = balance_term(cfg, g, r_new, &tb, mem_rows) {
+            terms.push((ipm, cfg.alpha));
+        }
+        if cfg.lambda > 0.0 {
+            let lw = elastic_net_penalty(g, store, &self.repr.weights());
+            terms.push((lw, cfg.lambda));
+        }
+        weighted_sum(g, &terms)
+    }
+
+    /// Early-stopping criterion: new-domain factual MSE plus the memory
+    /// factual MSE through φ (both in scaled-outcome space), so the kept
+    /// parameters balance plasticity and retention.
+    fn val_loss(
+        &self,
+        store: &ParamStore,
+        xv_std: &Matrix,
+        yv_scaled: &[f64],
+        tv: &[bool],
+    ) -> Result<f64, CerlError> {
+        let plan = InferencePlan::<f64>::network(store, self.repr, self.heads);
+        let mut loss = factual_mse_scaled(&plan, xv_std, yv_scaled, tv)?;
+        if let Some(m) = self.mem.filter(|m| !m.is_empty()) {
+            let (y0, y1) = plan.heads(&self.phi.apply(store, &m.r));
+            loss += factual_mse(&y0, &y1, &m.t, self.mem_y);
+        }
+        Ok(loss)
     }
 }
 
@@ -644,20 +485,24 @@ mod tests {
     fn two_stage_continual_run() {
         let stream = quick_stream(2);
         let d_in = stream.domain(0).train.dim();
-        let mut cerl = Cerl::new(d_in, quick_cfg(), 5);
+        let mut cerl = Cerl::try_new(d_in, quick_cfg(), 5).unwrap();
 
-        let r1 = cerl.observe(&stream.domain(0).train, &stream.domain(0).val);
+        let r1 = cerl
+            .try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
         assert_eq!(r1.stage, 1);
         assert!(r1.memory_len > 0 && r1.memory_len <= 120);
 
-        let r2 = cerl.observe(&stream.domain(1).train, &stream.domain(1).val);
+        let r2 = cerl
+            .try_observe(&stream.domain(1).train, &stream.domain(1).val)
+            .unwrap();
         assert_eq!(r2.stage, 2);
         assert!(r2.memory_len > 0 && r2.memory_len <= 120);
 
         // Must predict reasonably on BOTH domains' test sets.
         for d in 0..2 {
             let test = &stream.domain(d).test;
-            let est = cerl.predict_ite(&test.x);
+            let est = cerl.try_predict_ite(&test.x).unwrap();
             let m = EffectMetrics::on_dataset(test, &est);
             let trivial = EffectMetrics::on_dataset(test, &vec![0.0; test.n()]);
             assert!(
@@ -675,9 +520,11 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.memory_size = 60;
         cfg.train.epochs = 8;
-        let mut cerl = Cerl::new(d_in, cfg, 6);
+        let mut cerl = Cerl::try_new(d_in, cfg, 6).unwrap();
         for d in 0..3 {
-            let rep = cerl.observe(&stream.domain(d).train, &stream.domain(d).val);
+            let rep = cerl
+                .try_observe(&stream.domain(d).train, &stream.domain(d).val)
+                .unwrap();
             assert!(rep.memory_len <= 60, "stage {d}: memory {}", rep.memory_len);
         }
         let mem = cerl.memory().unwrap();
@@ -697,10 +544,12 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.ablation.feature_transform = false;
         cfg.train.epochs = 6;
-        let mut cerl = Cerl::new(d_in, cfg, 7);
-        cerl.observe(&stream.domain(0).train, &stream.domain(0).val);
+        let mut cerl = Cerl::try_new(d_in, cfg, 7).unwrap();
+        cerl.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
         assert!(cerl.memory().is_none());
-        cerl.observe(&stream.domain(1).train, &stream.domain(1).val);
+        cerl.try_observe(&stream.domain(1).train, &stream.domain(1).val)
+            .unwrap();
         assert!(cerl.memory().is_none());
     }
 
@@ -710,11 +559,12 @@ mod tests {
         let d_in = stream.domain(0).train.dim();
         let mut cfg = quick_cfg();
         cfg.train.epochs = 4;
-        let mut cerl = Cerl::new(d_in, cfg, 8);
+        let mut cerl = Cerl::try_new(d_in, cfg, 8).unwrap();
         assert_eq!(cerl.stage(), 0);
-        cerl.observe(&stream.domain(0).train, &stream.domain(0).val);
+        cerl.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
         assert_eq!(cerl.stage(), 1);
-        let r = cerl.embed(&stream.domain(0).test.x);
+        let r = cerl.try_embed(&stream.domain(0).test.x).unwrap();
         assert_eq!(r.rows(), stream.domain(0).test.n());
     }
 }

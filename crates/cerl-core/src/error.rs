@@ -1,10 +1,10 @@
-//! Typed errors for the serving-grade estimator API.
+//! Typed errors for the estimator, engine and snapshot APIs.
 //!
-//! Every fallible `try_*` observe/predict path in this crate reports
-//! failures through [`CerlError`] instead of panicking, so a serving
-//! process can keep running (and return a structured error to its caller)
-//! when a request is malformed, a model is not yet trained, or a snapshot
-//! is incompatible.
+//! Every construct, train, observe and predict path in this crate returns
+//! its failures as a [`CerlError`]; none has a panicking form. So a
+//! serving process keeps running (and returns a structured error to its
+//! caller) when a request is malformed, a stage's data holds a NaN, a
+//! model is not yet trained, or a snapshot is incompatible.
 
 use cerl_data::DataError;
 use std::fmt;
@@ -49,6 +49,14 @@ pub enum CerlError {
     EmptyInput {
         /// What was empty.
         what: &'static str,
+    },
+    /// A training or validation split holds a NaN or infinite covariate or
+    /// outcome; the stage is refused before any parameter moves.
+    NonFiniteInput {
+        /// Which split and field (`train.x`, `train.y`, `val.x`, `val.y`).
+        field: &'static str,
+        /// First unit (row) holding a non-finite value.
+        row: usize,
     },
     /// Dataset/scaler validation failure from `cerl-data`.
     Data(DataError),
@@ -98,6 +106,9 @@ impl fmt::Display for CerlError {
                 "dataset too small: need at least {required} units, found {found}"
             ),
             CerlError::EmptyInput { what } => write!(f, "empty input: {what}"),
+            CerlError::NonFiniteInput { field, row } => {
+                write!(f, "non-finite value in {field} at row {row}")
+            }
             CerlError::Data(e) => write!(f, "{e}"),
             CerlError::Snapshot(e) => write!(f, "{e}"),
         }
@@ -168,6 +179,11 @@ mod tests {
             supported: 1,
         });
         assert!(e.to_string().contains("version 9"));
+        let e = CerlError::NonFiniteInput {
+            field: "train.y",
+            row: 17,
+        };
+        assert!(e.to_string().contains("train.y") && e.to_string().contains("17"));
     }
 
     #[test]

@@ -27,9 +27,12 @@
 //!   distillation (Eq. 6), feature transformation (Eq. 7), herding memory,
 //!   and global representation balancing (Eqs. 8–9).
 //! * [`strategies`] — CFR-A/B/C adaptation baselines and the common
-//!   [`ContinualEstimator`] trait (fallible
-//!   `try_observe`/`try_predict_ite` core with infallible wrappers).
+//!   [`ContinualEstimator`] trait (`try_observe`/`try_predict_ite`, every
+//!   failure a typed [`CerlError`]).
 //! * [`baselines`] — classic S-learner / T-learner meta-learners.
+//! * [`trainer`] — the one stage loop (mini-batches, gradient clip, Adam,
+//!   early stopping) that CFR, CERL and the S/T-learners train through;
+//!   each supplies only its loss and validation criterion.
 //! * [`herding`] / [`memory`] — bounded representation memory.
 //! * [`repr`] / [`heads`] / [`transform`] — network components.
 //! * [`metrics`] — `√ε_PEHE` and `ε_ATE`.

@@ -23,17 +23,6 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Construct, validating lengths.
-    ///
-    /// # Panics
-    /// On inconsistent lengths; [`Memory::try_new`] is the fallible form.
-    pub fn new(r: Matrix, y: Vec<f64>, t: Vec<bool>) -> Self {
-        match Self::try_new(r, y, t) {
-            Ok(m) => m,
-            Err(e) => panic!("Memory: {e}"),
-        }
-    }
-
     /// Construct, returning a typed error when outcome or treatment lengths
     /// disagree with the representation row count.
     pub fn try_new(r: Matrix, y: Vec<f64>, t: Vec<bool>) -> Result<Self, CerlError> {
@@ -94,18 +83,6 @@ impl Memory {
             r: self.r.select_rows(indices),
             y: indices.iter().map(|&i| self.y[i]).collect(),
             t: indices.iter().map(|&i| self.t[i]).collect(),
-        }
-    }
-
-    /// Union of two memories (same representation dimension).
-    ///
-    /// # Panics
-    /// On representation-dimension mismatch; [`Memory::try_concat`] is the
-    /// fallible form.
-    pub fn concat(&self, other: &Self) -> Self {
-        match self.try_concat(other) {
-            Ok(m) => m,
-            Err(e) => panic!("Memory::concat: {e}"),
         }
     }
 
@@ -183,7 +160,7 @@ mod tests {
         let r = Matrix::from_fn(n, 4, |_, _| rng.gen::<f64>());
         let t: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < 0.5).collect();
         let y: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        Memory::new(r, y, t)
+        Memory::try_new(r, y, t).unwrap()
     }
 
     #[test]
@@ -202,14 +179,14 @@ mod tests {
         let s = m.select(&[0, 5]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.y, vec![0.0, 5.0]);
-        let c = m.concat(&s);
+        let c = m.try_concat(&s).unwrap();
         assert_eq!(c.len(), 8);
     }
 
     #[test]
     fn concat_rejects_dimension_mismatch() {
         let a = toy_memory(4, 10);
-        let b = Memory::new(Matrix::zeros(3, 7), vec![0.0; 3], vec![false; 3]);
+        let b = Memory::try_new(Matrix::zeros(3, 7), vec![0.0; 3], vec![false; 3]).unwrap();
         match a.try_concat(&b) {
             Err(CerlError::MemoryDimensionMismatch { expected, found }) => {
                 assert_eq!(expected, 4);
@@ -225,14 +202,6 @@ mod tests {
         let empty = Memory::empty(7);
         assert!(a.try_concat(&empty).is_err());
         assert!(Memory::empty(4).try_concat(&a).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn concat_panicking_wrapper_uses_typed_message() {
-        let a = toy_memory(4, 11);
-        let b = Memory::empty(9);
-        let _ = a.concat(&b);
     }
 
     #[test]
@@ -268,7 +237,7 @@ mod tests {
         t[1] = true;
         t[2] = true;
         let y = vec![0.0; 53];
-        let m = Memory::new(r, y, t);
+        let m = Memory::try_new(r, y, t).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let reduced = m.reduce(20, true, &mut rng);
         assert_eq!(reduced.treated_indices().len(), 3);

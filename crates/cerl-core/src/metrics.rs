@@ -90,13 +90,14 @@ mod tests {
 
     #[test]
     fn on_dataset_uses_ground_truth() {
-        let d = CausalDataset::new(
+        let d = CausalDataset::try_new(
             Matrix::zeros(2, 1),
             vec![true, false],
             vec![3.0, 1.0],
             vec![1.0, 1.0],
             vec![3.0, 2.0],
-        );
+        )
+        .unwrap();
         // true ITE = [2, 1]
         let m = EffectMetrics::on_dataset(&d, &[2.0, 1.0]);
         assert_eq!(m.sqrt_pehe, 0.0);

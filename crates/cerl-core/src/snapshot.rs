@@ -1181,9 +1181,10 @@ mod tests {
         let mut cfg = CerlConfig::quick_test();
         cfg.train.epochs = 6;
         cfg.memory_size = 80;
-        let mut cerl = Cerl::new(stream.domain(0).train.dim(), cfg, 23);
+        let mut cerl = Cerl::try_new(stream.domain(0).train.dim(), cfg, 23).unwrap();
         for d in 0..stages {
-            cerl.observe(&stream.domain(d).train, &stream.domain(d).val);
+            cerl.try_observe(&stream.domain(d).train, &stream.domain(d).val)
+                .unwrap();
         }
         (cerl, stream)
     }
@@ -1233,8 +1234,8 @@ mod tests {
         let restored = Cerl::from_snapshot(ModelSnapshot::from_bytes(&bytes).unwrap()).unwrap();
         for d in 0..2 {
             let x = &stream.domain(d).test.x;
-            let a = cerl.predict_ite(x);
-            let b = restored.predict_ite(x);
+            let a = cerl.try_predict_ite(x).unwrap();
+            let b = restored.try_predict_ite(x).unwrap();
             assert_eq!(a.len(), b.len());
             for (va, vb) in a.iter().zip(&b) {
                 assert_eq!(va.to_bits(), vb.to_bits(), "domain {d}");
@@ -1261,9 +1262,14 @@ mod tests {
 
         // The continuation matches what the original process would produce.
         let mut original = cerl;
-        original.observe(&stream.domain(1).train, &stream.domain(1).val);
+        original
+            .try_observe(&stream.domain(1).train, &stream.domain(1).val)
+            .unwrap();
         let x = &stream.domain(1).test.x;
-        assert_eq!(original.predict_ite(x), restored.predict_ite(x));
+        assert_eq!(
+            original.try_predict_ite(x).unwrap(),
+            restored.try_predict_ite(x).unwrap()
+        );
     }
 
     #[test]
@@ -1602,7 +1608,11 @@ mod tests {
         let restored = Cerl::from_snapshot(parsed).unwrap();
         for d in 0..2 {
             let x = &stream.domain(d).test.x;
-            assert_eq!(cerl.predict_ite(x), restored.predict_ite(x), "domain {d}");
+            assert_eq!(
+                cerl.try_predict_ite(x).unwrap(),
+                restored.try_predict_ite(x).unwrap(),
+                "domain {d}"
+            );
         }
         assert_eq!(restored.stage(), cerl.stage());
         assert_eq!(
@@ -1635,8 +1645,8 @@ mod tests {
         // not equal to, the f64 original).
         let restored = Cerl::from_snapshot(parsed).unwrap();
         let x = &stream.domain(0).test.x;
-        let a = cerl.predict_ite(x);
-        let b = restored.predict_ite(x);
+        let a = cerl.try_predict_ite(x).unwrap();
+        let b = restored.try_predict_ite(x).unwrap();
         let scale = a.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for (va, vb) in a.iter().zip(&b) {
             assert!((va - vb).abs() <= 1e-3 * scale, "{va} vs {vb}");
@@ -1886,11 +1896,14 @@ mod tests {
         let (cerl, _) = trained_cerl(1);
         let mut snapshot = cerl.to_snapshot();
         // Claim a memory in a different representation space.
-        snapshot.memory = Some(Memory::new(
-            cerl_math::Matrix::zeros(4, snapshot.config.net.repr_dim + 3),
-            vec![0.0; 4],
-            vec![true, false, true, false],
-        ));
+        snapshot.memory = Some(
+            Memory::try_new(
+                cerl_math::Matrix::zeros(4, snapshot.config.net.repr_dim + 3),
+                vec![0.0; 4],
+                vec![true, false, true, false],
+            )
+            .unwrap(),
+        );
         let parsed = ModelSnapshot::from_bytes(&container(&snapshot)).expect("format is valid");
         match Cerl::from_snapshot(parsed) {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(_))) => {}

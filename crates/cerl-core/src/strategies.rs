@@ -22,10 +22,9 @@ use cerl_math::Matrix;
 
 /// A learner that consumes domains one at a time and predicts ITEs.
 ///
-/// The fallible `try_*` methods are the required surface (serving systems
-/// route through them); the infallible historical methods are provided as
-/// thin wrappers that panic with the typed error's message, preserving the
-/// original research-facing API during migration.
+/// Every method that can fail returns a typed [`CerlError`]: malformed
+/// or non-finite input, a prediction before the first domain, a
+/// covariate-dimension mismatch.
 pub trait ContinualEstimator {
     /// Short display name (matches the paper's table rows).
     fn name(&self) -> String;
@@ -38,29 +37,6 @@ pub trait ContinualEstimator {
     /// with a typed error before training or on malformed input.
     fn try_predict_ite(&self, x: &Matrix) -> Result<Vec<f64>, CerlError>;
 
-    /// Consume the next incrementally available domain.
-    ///
-    /// # Panics
-    /// On invalid input; [`ContinualEstimator::try_observe`] is the
-    /// fallible form.
-    fn observe(&mut self, train: &CausalDataset, val: &CausalDataset) {
-        if let Err(e) = self.try_observe(train, val) {
-            panic!("{}::observe: {e}", self.name());
-        }
-    }
-
-    /// Predict unit-level treatment effects for raw covariates.
-    ///
-    /// # Panics
-    /// On invalid input; [`ContinualEstimator::try_predict_ite`] is the
-    /// fallible form.
-    fn predict_ite(&self, x: &Matrix) -> Vec<f64> {
-        match self.try_predict_ite(x) {
-            Ok(ite) => ite,
-            Err(e) => panic!("{}::predict_ite: {e}", self.name()),
-        }
-    }
-
     /// Serve a batch of request matrices; result `i` is the ITE vector for
     /// `chunks[i]`. The default implementation predicts chunk by chunk and
     /// fails fast on the first malformed chunk.
@@ -69,11 +45,6 @@ pub trait ContinualEstimator {
             .iter()
             .map(|chunk| self.try_predict_ite(chunk))
             .collect()
-    }
-
-    /// Evaluate on a labeled dataset.
-    fn evaluate(&self, data: &CausalDataset) -> EffectMetrics {
-        EffectMetrics::on_dataset(data, &self.predict_ite(&data.x))
     }
 
     /// Evaluate on a labeled dataset, reporting failures as typed errors.
@@ -97,12 +68,13 @@ pub struct CfrA {
 }
 
 impl CfrA {
-    /// Create for `d_in`-dimensional covariates.
-    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Self {
-        Self {
-            model: CfrModel::new(d_in, cfg, seed),
+    /// Create for `d_in`-dimensional covariates, validating the
+    /// configuration and the dimension.
+    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Result<Self, CerlError> {
+        Ok(Self {
+            model: CfrModel::try_new(d_in, cfg, seed)?,
             trained: false,
-        }
+        })
     }
 }
 
@@ -132,11 +104,12 @@ pub struct CfrB {
 }
 
 impl CfrB {
-    /// Create for `d_in`-dimensional covariates.
-    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Self {
-        Self {
-            model: CfrModel::new(d_in, cfg, seed),
-        }
+    /// Create for `d_in`-dimensional covariates, validating the
+    /// configuration and the dimension.
+    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Result<Self, CerlError> {
+        Ok(Self {
+            model: CfrModel::try_new(d_in, cfg, seed)?,
+        })
     }
 }
 
@@ -169,9 +142,17 @@ pub struct CfrC {
 }
 
 impl CfrC {
-    /// Create for `d_in`-dimensional covariates.
-    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Self {
-        Self {
+    /// Create for `d_in`-dimensional covariates, validating the
+    /// configuration and the dimension (as CFR-A/B do) before the first
+    /// retrain needs them.
+    pub fn new(d_in: usize, cfg: CerlConfig, seed: u64) -> Result<Self, CerlError> {
+        cfg.validate()?;
+        if d_in == 0 {
+            return Err(CerlError::EmptyInput {
+                what: "covariate dimension (d_in = 0)",
+            });
+        }
+        Ok(Self {
             cfg,
             seed,
             d_in,
@@ -179,7 +160,7 @@ impl CfrC {
             pooled_val: None,
             model: None,
             retrain_count: 0,
-        }
+        })
     }
 
     /// Total units of raw data this strategy is holding on to (the
@@ -256,13 +237,17 @@ impl ContinualEstimator for Cerl {
 }
 
 /// Construct every estimator of the paper's Table I/II comparison.
-pub fn paper_lineup(d_in: usize, cfg: &CerlConfig, seed: u64) -> Vec<Box<dyn ContinualEstimator>> {
-    vec![
-        Box::new(CfrA::new(d_in, cfg.clone(), seed)),
-        Box::new(CfrB::new(d_in, cfg.clone(), seed)),
-        Box::new(CfrC::new(d_in, cfg.clone(), seed)),
-        Box::new(Cerl::new(d_in, cfg.clone(), seed)),
-    ]
+pub fn paper_lineup(
+    d_in: usize,
+    cfg: &CerlConfig,
+    seed: u64,
+) -> Result<Vec<Box<dyn ContinualEstimator>>, CerlError> {
+    Ok(vec![
+        Box::new(CfrA::new(d_in, cfg.clone(), seed)?),
+        Box::new(CfrB::new(d_in, cfg.clone(), seed)?),
+        Box::new(CfrC::new(d_in, cfg.clone(), seed)?),
+        Box::new(Cerl::try_new(d_in, cfg.clone(), seed)?),
+    ])
 }
 
 #[cfg(test)]
@@ -289,7 +274,7 @@ mod tests {
 
     #[test]
     fn lineup_names() {
-        let lineup = paper_lineup(5, &quick_cfg(), 1);
+        let lineup = paper_lineup(5, &quick_cfg(), 1).unwrap();
         let names: Vec<String> = lineup.iter().map(|e| e.name()).collect();
         assert_eq!(names, vec!["CFR-A", "CFR-B", "CFR-C", "CERL"]);
     }
@@ -298,11 +283,13 @@ mod tests {
     fn cfr_a_ignores_later_domains() {
         let stream = quick_stream();
         let d_in = stream.domain(0).train.dim();
-        let mut a = CfrA::new(d_in, quick_cfg(), 2);
-        a.observe(&stream.domain(0).train, &stream.domain(0).val);
-        let before = a.predict_ite(&stream.domain(0).test.x);
-        a.observe(&stream.domain(1).train, &stream.domain(1).val);
-        let after = a.predict_ite(&stream.domain(0).test.x);
+        let mut a = CfrA::new(d_in, quick_cfg(), 2).unwrap();
+        a.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
+        let before = a.try_predict_ite(&stream.domain(0).test.x).unwrap();
+        a.try_observe(&stream.domain(1).train, &stream.domain(1).val)
+            .unwrap();
+        let after = a.try_predict_ite(&stream.domain(0).test.x).unwrap();
         assert_eq!(
             before, after,
             "CFR-A must not change after the first domain"
@@ -313,11 +300,13 @@ mod tests {
     fn cfr_b_changes_with_new_domains() {
         let stream = quick_stream();
         let d_in = stream.domain(0).train.dim();
-        let mut b = CfrB::new(d_in, quick_cfg(), 3);
-        b.observe(&stream.domain(0).train, &stream.domain(0).val);
-        let before = b.predict_ite(&stream.domain(0).test.x);
-        b.observe(&stream.domain(1).train, &stream.domain(1).val);
-        let after = b.predict_ite(&stream.domain(0).test.x);
+        let mut b = CfrB::new(d_in, quick_cfg(), 3).unwrap();
+        b.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
+        let before = b.try_predict_ite(&stream.domain(0).test.x).unwrap();
+        b.try_observe(&stream.domain(1).train, &stream.domain(1).val)
+            .unwrap();
+        let after = b.try_predict_ite(&stream.domain(0).test.x).unwrap();
         assert_ne!(before, after, "CFR-B must adapt to new data");
     }
 
@@ -325,10 +314,12 @@ mod tests {
     fn cfr_c_accumulates_raw_data() {
         let stream = quick_stream();
         let d_in = stream.domain(0).train.dim();
-        let mut c = CfrC::new(d_in, quick_cfg(), 4);
-        c.observe(&stream.domain(0).train, &stream.domain(0).val);
+        let mut c = CfrC::new(d_in, quick_cfg(), 4).unwrap();
+        c.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
         let first = c.stored_units();
-        c.observe(&stream.domain(1).train, &stream.domain(1).val);
+        c.try_observe(&stream.domain(1).train, &stream.domain(1).val)
+            .unwrap();
         assert_eq!(c.stored_units(), 2 * first);
     }
 
@@ -336,12 +327,13 @@ mod tests {
     fn all_strategies_produce_finite_metrics() {
         let stream = quick_stream();
         let d_in = stream.domain(0).train.dim();
-        for mut est in paper_lineup(d_in, &quick_cfg(), 5) {
+        for mut est in paper_lineup(d_in, &quick_cfg(), 5).unwrap() {
             for d in 0..2 {
-                est.observe(&stream.domain(d).train, &stream.domain(d).val);
+                est.try_observe(&stream.domain(d).train, &stream.domain(d).val)
+                    .unwrap();
             }
             for d in 0..2 {
-                let m = est.evaluate(&stream.domain(d).test);
+                let m = est.try_evaluate(&stream.domain(d).test).unwrap();
                 assert!(
                     m.sqrt_pehe.is_finite() && m.ate_error.is_finite(),
                     "{} domain {d}: {m:?}",

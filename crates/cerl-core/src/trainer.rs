@@ -1,17 +1,24 @@
-//! Shared training-loop machinery: mini-batching, early stopping, and the
-//! report type returned by every training stage.
+//! The one training loop every stage runs (`run_stage`), with its
+//! mini-batching, early stopping, and the report it returns.
+//!
+//! CFR, CERL's continual stages and the S/T-learner baselines differ only
+//! in the loss they minimise on one mini-batch and in their validation
+//! criterion; each hands those to `run_stage` as two closures.
 
+use crate::config::TrainConfig;
 use crate::error::CerlError;
 use cerl_data::CausalDataset;
 use cerl_math::Matrix;
-use cerl_nn::{ParamId, ParamStore};
+use cerl_nn::{Adam, Graph, NodeId, Optimizer, ParamId, ParamStore};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Shared input validation for every `try_train`/`try_observe` stage:
-/// enough units to fit on, and train/val covariate widths matching the
-/// model (an empty validation set is allowed and skips the width check).
+/// enough units to fit on, train/val covariate widths matching the model
+/// (an empty validation set is allowed and skips the width check), and
+/// finite covariates and outcomes in both splits. It runs before anything
+/// mutates the learner, so a rejected stage leaves it untouched.
 pub(crate) fn validate_stage_inputs(
     train: &CausalDataset,
     val: &CausalDataset,
@@ -35,7 +42,75 @@ pub(crate) fn validate_stage_inputs(
             found: val.dim(),
         });
     }
+    for (x_field, y_field, data) in [("train.x", "train.y", train), ("val.x", "val.y", val)] {
+        if let Some(row) = (0..data.n()).find(|&i| data.x.row(i).iter().any(|v| !v.is_finite())) {
+            return Err(CerlError::NonFiniteInput {
+                field: x_field,
+                row,
+            });
+        }
+        if let Some(row) = data.y.iter().position(|v| !v.is_finite()) {
+            return Err(CerlError::NonFiniteInput {
+                field: y_field,
+                row,
+            });
+        }
+    }
     Ok(())
+}
+
+/// Run one training stage from the parameters in `store`.
+///
+/// Each of at most `cfg.epochs` epochs shuffles `0..n` into mini-batches;
+/// for every batch `step_loss` builds the loss node on a fresh tape, the
+/// gradient's global norm is clipped to `cfg.clip_norm` (when positive)
+/// and Adam steps `params`. After each epoch `val_loss` feeds the early
+/// stopper, whose best parameters are restored at the end.
+///
+/// `rng` draws each epoch's shuffle and is lent to `step_loss` in between,
+/// so a loss that samples (CERL's memory mini-batch) shares the stream.
+pub(crate) fn run_stage<R: Rng>(
+    store: &mut ParamStore,
+    params: &[ParamId],
+    cfg: &TrainConfig,
+    n: usize,
+    rng: &mut R,
+    mut step_loss: impl FnMut(&mut Graph, &ParamStore, &[usize], &mut R) -> NodeId,
+    mut val_loss: impl FnMut(&ParamStore) -> Result<f64, CerlError>,
+) -> Result<TrainReport, CerlError> {
+    let mut opt = Adam::new(cfg.learning_rate);
+    let mut stopper = EarlyStopper::new(params.to_vec(), cfg.patience);
+    let mut epochs_run = 0;
+    let mut final_train_loss = f64::NAN;
+    for _ in 0..cfg.epochs {
+        epochs_run += 1;
+        let batches = minibatches(n, cfg.batch_size, rng);
+        let mut epoch_loss = 0.0;
+        for batch in &batches {
+            // The tape is dropped before the optimiser step: the gradients
+            // own their data.
+            let mut grads = {
+                let mut g = Graph::new();
+                let loss = step_loss(&mut g, store, batch, rng);
+                epoch_loss += g.scalar(loss);
+                g.backward(loss)
+            };
+            if cfg.clip_norm > 0.0 {
+                grads.clip_global_norm(cfg.clip_norm);
+            }
+            opt.step(store, &grads, params);
+        }
+        final_train_loss = epoch_loss / batches.len().max(1) as f64;
+        if stopper.update(store, val_loss(store)?) {
+            break;
+        }
+    }
+    stopper.restore_best(store);
+    Ok(TrainReport {
+        epochs_run,
+        best_val_loss: stopper.best_loss(),
+        final_train_loss,
+    })
 }
 
 /// Outcome of one training stage.
@@ -49,13 +124,14 @@ pub struct TrainReport {
     pub final_train_loss: f64,
 }
 
-/// Shuffled mini-batch index lists covering `0..n`.
+/// Shuffled mini-batch index lists covering `0..n` (one epoch of
+/// [`run_stage`]).
 ///
 /// The tail batch is kept if it has at least 2 units (a 1-unit batch makes
 /// MSE/IPM terms degenerate), otherwise merged into the previous batch.
 /// A `batch_size` below 2 is clamped to 2 (config validation rejects it on
 /// the fallible paths before it ever reaches here).
-pub fn minibatches<R: Rng + ?Sized>(n: usize, batch_size: usize, rng: &mut R) -> Vec<Vec<usize>> {
+fn minibatches<R: Rng + ?Sized>(n: usize, batch_size: usize, rng: &mut R) -> Vec<Vec<usize>> {
     let batch_size = batch_size.max(2);
     let mut idx: Vec<usize> = (0..n).collect();
     idx.shuffle(rng);
@@ -71,7 +147,7 @@ pub fn minibatches<R: Rng + ?Sized>(n: usize, batch_size: usize, rng: &mut R) ->
 }
 
 /// Early stopper that snapshots the best parameters.
-pub struct EarlyStopper {
+struct EarlyStopper {
     patience: usize,
     best_loss: f64,
     wait: usize,
@@ -82,7 +158,7 @@ pub struct EarlyStopper {
 impl EarlyStopper {
     /// Track the given parameters; `patience == 0` disables stopping (but
     /// best-snapshot restoration still applies).
-    pub fn new(param_ids: Vec<ParamId>, patience: usize) -> Self {
+    fn new(param_ids: Vec<ParamId>, patience: usize) -> Self {
         Self {
             patience,
             best_loss: f64::INFINITY,
@@ -93,7 +169,7 @@ impl EarlyStopper {
     }
 
     /// Report a validation loss; returns `true` when training should stop.
-    pub fn update(&mut self, store: &ParamStore, val_loss: f64) -> bool {
+    fn update(&mut self, store: &ParamStore, val_loss: f64) -> bool {
         if val_loss < self.best_loss {
             self.best_loss = val_loss;
             self.wait = 0;
@@ -106,12 +182,12 @@ impl EarlyStopper {
     }
 
     /// Best validation loss so far.
-    pub fn best_loss(&self) -> f64 {
+    fn best_loss(&self) -> f64 {
         self.best_loss
     }
 
     /// Restore the best snapshot into the store (no-op if none recorded).
-    pub fn restore_best(&self, store: &mut ParamStore) {
+    fn restore_best(&self, store: &mut ParamStore) {
         if let Some(best) = &self.best_params {
             store.restore(&self.param_ids, best);
         }

@@ -27,18 +27,6 @@ pub struct CausalDataset {
 }
 
 impl CausalDataset {
-    /// Construct, validating that all fields have consistent lengths.
-    ///
-    /// # Panics
-    /// On inconsistent lengths; [`CausalDataset::try_new`] is the fallible
-    /// form.
-    pub fn new(x: Matrix, t: Vec<bool>, y: Vec<f64>, mu0: Vec<f64>, mu1: Vec<f64>) -> Self {
-        match Self::try_new(x, t, y, mu0, mu1) {
-            Ok(ds) => ds,
-            Err(e) => panic!("CausalDataset: {e}"),
-        }
-    }
-
     /// Construct, returning a typed error when any per-unit field's length
     /// disagrees with the covariate row count.
     pub fn try_new(
@@ -188,22 +176,12 @@ pub struct Standardizer {
 }
 
 impl Standardizer {
-    /// Fit on the rows of `x`; constant columns get std 1 (identity map).
-    ///
-    /// # Panics
-    /// On an empty matrix; [`Standardizer::try_fit`] is the fallible form.
-    pub fn fit(x: &Matrix) -> Self {
-        match Self::try_fit(x) {
-            Ok(s) => s,
-            Err(e) => panic!("Standardizer: {e}"),
-        }
-    }
-
-    /// Fit on the rows of `x`, rejecting empty input.
+    /// Fit on the rows of `x`, rejecting empty input; constant columns get
+    /// std 1 (identity map).
     pub fn try_fit(x: &Matrix) -> Result<Self, DataError> {
         if x.rows() == 0 || x.cols() == 0 {
             return Err(DataError::EmptyInput {
-                what: "Standardizer::fit covariates",
+                what: "Standardizer::try_fit covariates",
             });
         }
         let means = x.col_means();
@@ -217,18 +195,6 @@ impl Standardizer {
             stds,
             clip: None,
         })
-    }
-
-    /// Fit with symmetric z-score clipping at `±clip`.
-    ///
-    /// # Panics
-    /// On invalid input; [`Standardizer::try_fit_clipped`] is the fallible
-    /// form.
-    pub fn fit_clipped(x: &Matrix, clip: f64) -> Self {
-        match Self::try_fit_clipped(x, clip) {
-            Ok(s) => s,
-            Err(e) => panic!("Standardizer: {e}"),
-        }
     }
 
     /// Fit with symmetric z-score clipping, rejecting a non-positive clip
@@ -245,19 +211,7 @@ impl Standardizer {
         Ok(s)
     }
 
-    /// Apply `(x − μ)/σ` columnwise (then clip, when configured).
-    ///
-    /// # Panics
-    /// On a column-count mismatch; [`Standardizer::try_transform`] is the
-    /// fallible form.
-    pub fn transform(&self, x: &Matrix) -> Matrix {
-        match self.try_transform(x) {
-            Ok(z) => z,
-            Err(e) => panic!("Standardizer: {e}"),
-        }
-    }
-
-    /// Apply `(x − μ)/σ` columnwise, returning a typed error when `x` has a
+    /// Apply `(x − μ)/σ` columnwise (then clip, when configured), returning a typed error when `x` has a
     /// different column count than the fitting data. A matrix with no rows
     /// carries no values to map and transforms to an empty matrix of the
     /// fitted width regardless of its nominal column count (so "no
@@ -314,22 +268,12 @@ pub struct OutcomeScaler {
 }
 
 impl OutcomeScaler {
-    /// Fit on a slice of outcomes; constant outcomes get sd 1.
-    ///
-    /// # Panics
-    /// On an empty slice; [`OutcomeScaler::try_fit`] is the fallible form.
-    pub fn fit(y: &[f64]) -> Self {
-        match Self::try_fit(y) {
-            Ok(s) => s,
-            Err(e) => panic!("OutcomeScaler: {e}"),
-        }
-    }
-
-    /// Fit on a slice of outcomes, rejecting empty input.
+    /// Fit on a slice of outcomes, rejecting empty input; constant outcomes
+    /// get sd 1.
     pub fn try_fit(y: &[f64]) -> Result<Self, DataError> {
         if y.is_empty() {
             return Err(DataError::EmptyInput {
-                what: "OutcomeScaler::fit outcomes",
+                what: "OutcomeScaler::try_fit outcomes",
             });
         }
         let mean = cerl_math::stats::mean(y);
@@ -375,7 +319,7 @@ mod tests {
         let y: Vec<f64> = (0..n)
             .map(|i| if i % 2 == 0 { mu1[i] } else { mu0[i] })
             .collect();
-        CausalDataset::new(x, t, y, mu0, mu1)
+        CausalDataset::try_new(x, t, y, mu0, mu1).unwrap()
     }
 
     #[test]
@@ -438,8 +382,8 @@ mod tests {
     #[test]
     fn standardizer_normalizes() {
         let x = Matrix::from_rows(&[vec![1.0, 100.0], vec![3.0, 300.0], vec![5.0, 500.0]]);
-        let s = Standardizer::fit(&x);
-        let z = s.transform(&x);
+        let s = Standardizer::try_fit(&x).unwrap();
+        let z = s.try_transform(&x).unwrap();
         let m = z.col_means();
         let sd = z.col_stds();
         assert!(m.iter().all(|&v| v.abs() < 1e-12));
@@ -449,8 +393,8 @@ mod tests {
     #[test]
     fn standardizer_constant_column() {
         let x = Matrix::from_rows(&[vec![7.0, 1.0], vec![7.0, 2.0]]);
-        let s = Standardizer::fit(&x);
-        let z = s.transform(&x);
+        let s = Standardizer::try_fit(&x).unwrap();
+        let z = s.try_transform(&x).unwrap();
         assert_eq!(z[(0, 0)], 0.0);
         assert_eq!(z[(1, 0)], 0.0);
     }
@@ -458,7 +402,7 @@ mod tests {
     #[test]
     fn outcome_scaler_roundtrip() {
         let y = [10.0, 20.0, 30.0, 40.0];
-        let s = OutcomeScaler::fit(&y);
+        let s = OutcomeScaler::try_fit(&y).unwrap();
         let z = s.transform(&y);
         assert!(cerl_math::stats::mean(&z).abs() < 1e-12);
         let back = s.inverse(&z);
@@ -468,14 +412,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "t length mismatch")]
     fn rejects_inconsistent_lengths() {
-        let _ = CausalDataset::new(
+        let err = CausalDataset::try_new(
             Matrix::zeros(3, 2),
             vec![true],
             vec![0.0; 3],
             vec![0.0; 3],
             vec![0.0; 3],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DataError::LengthMismatch {
+                field: "t",
+                expected: 3,
+                found: 1
+            }
         );
     }
 }

@@ -171,7 +171,7 @@ impl SemiSyntheticGenerator {
             y.push(if ti { m1 + eps } else { m0 + eps });
             t.push(ti);
         }
-        CausalDataset::new(x, t, y, mu0, mu1)
+        CausalDataset { x, t, y, mu0, mu1 }
     }
 
     /// Generate the two sequential datasets of a [`DomainShift`] scenario.

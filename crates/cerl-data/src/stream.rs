@@ -24,21 +24,9 @@ pub struct DomainStream {
 }
 
 impl DomainStream {
-    /// Build from pre-split domains.
-    ///
-    /// # Panics
-    /// On an empty domain list; [`DomainStream::try_from_splits`] is the
-    /// fallible form a serving process should use.
-    pub fn from_splits(domains: Vec<TrainValTest>) -> Self {
-        match Self::try_from_splits(domains) {
-            Ok(stream) => stream,
-            Err(e) => panic!("DomainStream: {e}"),
-        }
-    }
-
     /// Build from pre-split domains, returning a typed error on an empty
-    /// list instead of panicking (an empty stream has no covariate
-    /// dimension, no stage 0, and nothing downstream can do with it).
+    /// list (an empty stream has no covariate dimension, no stage 0, and
+    /// nothing downstream can do with it).
     pub fn try_from_splits(domains: Vec<TrainValTest>) -> Result<Self, DataError> {
         if domains.is_empty() {
             return Err(DataError::EmptyInput {
@@ -48,41 +36,25 @@ impl DomainStream {
         Ok(Self { domains })
     }
 
-    /// Split raw per-domain datasets 60/20/20 with seeded shuffles.
-    ///
-    /// # Panics
-    /// On an empty dataset list; [`DomainStream::try_from_datasets`] is the
-    /// fallible form a serving process should use.
-    pub fn from_datasets(datasets: Vec<CausalDataset>, seed: u64) -> Self {
-        match Self::try_from_datasets(datasets, seed) {
-            Ok(stream) => stream,
-            Err(e) => panic!("DomainStream: {e}"),
-        }
-    }
-
     /// Split raw per-domain datasets 60/20/20 with seeded shuffles,
-    /// returning a typed error on an empty list instead of panicking.
+    /// returning a typed error on an empty list.
     pub fn try_from_datasets(datasets: Vec<CausalDataset>, seed: u64) -> Result<Self, DataError> {
-        if datasets.is_empty() {
-            return Err(DataError::EmptyInput {
-                what: "domain stream (need at least one domain)",
-            });
-        }
-        let domains = datasets
-            .into_iter()
-            .enumerate()
-            .map(|(d, ds)| {
-                let mut rng = seeds::rng_labeled(seed, &format!("split-{d}"));
-                ds.split(TRAIN_FRAC, VAL_FRAC, &mut rng)
-            })
-            .collect();
-        Ok(Self { domains })
+        Self::try_from_splits(split_all(datasets, seed))
     }
 
     /// Synthetic stream of `n_domains` domains (replication `rep`).
+    ///
+    /// # Panics
+    /// When `n_domains` is 0: a stream holds at least one domain.
     pub fn synthetic(gen: &SyntheticGenerator, n_domains: usize, rep: usize, seed: u64) -> Self {
+        assert!(
+            n_domains > 0,
+            "DomainStream::synthetic: need at least one domain"
+        );
         let datasets: Vec<CausalDataset> = (0..n_domains).map(|d| gen.domain(d, rep)).collect();
-        Self::from_datasets(datasets, seeds::derive(seed, rep as u64))
+        Self {
+            domains: split_all(datasets, seeds::derive(seed, rep as u64)),
+        }
     }
 
     /// Two-domain semi-synthetic stream under a [`DomainShift`] scenario.
@@ -93,7 +65,9 @@ impl DomainStream {
         seed: u64,
     ) -> Self {
         let (d1, d2) = gen.sequential_pair(shift, rep);
-        Self::from_datasets(vec![d1, d2], seeds::derive(seed, rep))
+        Self {
+            domains: split_all(vec![d1, d2], seeds::derive(seed, rep)),
+        }
     }
 
     /// Number of domains.
@@ -142,6 +116,18 @@ impl DomainStream {
     }
 }
 
+/// Split each dataset 60/20/20 with its own seeded shuffle.
+fn split_all(datasets: Vec<CausalDataset>, seed: u64) -> Vec<TrainValTest> {
+    datasets
+        .into_iter()
+        .enumerate()
+        .map(|(d, ds)| {
+            let mut rng = seeds::rng_labeled(seed, &format!("split-{d}"));
+            ds.split(TRAIN_FRAC, VAL_FRAC, &mut rng)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +169,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one domain")]
     fn empty_stream_rejected() {
-        let _ = DomainStream::from_splits(vec![]);
+        let gen = SyntheticGenerator::new(SyntheticConfig::small(), 5);
+        let _ = DomainStream::synthetic(&gen, 0, 0, 11);
     }
 
     #[test]
@@ -199,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn try_constructors_match_panicking_forms() {
+    fn try_from_splits_keeps_the_splits() {
         let s = quick_stream(2);
         let rebuilt = DomainStream::try_from_splits(s.domains.clone()).unwrap();
         assert_eq!(rebuilt.len(), 2);

@@ -284,7 +284,7 @@ impl SyntheticGenerator {
             y.push(if ti { g + tau + eps } else { g + eps });
             t.push(ti);
         }
-        CausalDataset::new(x, t, y, mu0, mu1)
+        CausalDataset { x, t, y, mu0, mu1 }
     }
 }
 

@@ -34,7 +34,7 @@ fn main() -> Result<(), CerlError> {
         .seed(11)
         .covariate_dim(d_in)
         .build()?;
-    let mut ideal = CfrC::new(d_in, cfg, 11); // stores ALL raw records
+    let mut ideal = CfrC::new(d_in, cfg, 11)?; // stores ALL raw records
 
     println!("campaign rollout across {} cities:\n", cities.len());
     for (d, city) in cities.iter().enumerate() {

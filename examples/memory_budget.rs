@@ -73,7 +73,7 @@ fn main() -> Result<(), CerlError> {
     );
 
     // The ideal that stores everything.
-    let mut ideal = CfrC::new(d_in, base, 31);
+    let mut ideal = CfrC::new(d_in, base, 31)?;
     for d in 0..n_domains {
         ideal.try_observe(&stream.domain(d).train, &stream.domain(d).val)?;
     }

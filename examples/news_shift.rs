@@ -39,9 +39,9 @@ fn main() -> Result<(), CerlError> {
         cfg.memory_size = 80; // paper Table I: M = 500 at 5000 units
 
         let estimators: Vec<Box<dyn ContinualEstimator>> = vec![
-            Box::new(CfrA::new(d_in, cfg.clone(), 23)),
-            Box::new(CfrB::new(d_in, cfg.clone(), 23)),
-            Box::new(Cerl::new(d_in, cfg.clone(), 23)),
+            Box::new(CfrA::new(d_in, cfg.clone(), 23)?),
+            Box::new(CfrB::new(d_in, cfg.clone(), 23)?),
+            Box::new(Cerl::try_new(d_in, cfg.clone(), 23)?),
         ];
 
         println!("{:<8} {:>16} {:>16}", "model", "prev √PEHE", "new √PEHE");

@@ -26,7 +26,7 @@ fn main() -> Result<(), CerlError> {
     // The builder validates the configuration up front; the covariate
     // dimension is inferred from the first observed domain.
     let mut engine = CerlEngineBuilder::new(cfg.clone()).seed(7).build()?;
-    let mut finetune = CfrB::new(stream.domain(0).train.dim(), cfg, 7);
+    let mut finetune = CfrB::new(stream.domain(0).train.dim(), cfg, 7)?;
 
     println!("observing {} domains in arrival order…\n", stream.len());
     for d in 0..stream.len() {

@@ -564,24 +564,40 @@
 //!
 //! ## Research-style API
 //!
-//! The original research-facing types remain available: construct
-//! [`Cerl`](prelude::Cerl) directly when the covariate dimension is known
-//! up front, or use the infallible `observe`/`predict_ite` wrappers (which
-//! panic with the typed error's message on misuse):
+//! The research-facing types sit on the same fallible surface as the
+//! engine. Construct [`Cerl`](prelude::Cerl), a CFR-A/B/C strategy or an
+//! S/T-learner directly when the covariate dimension is known up front;
+//! every constructor, `try_observe`/`try_train` and `try_predict_ite`
+//! returns a typed [`CerlError`](prelude::CerlError) on misuse (an invalid
+//! configuration, a wrong covariate width, a NaN in a stage's data, a
+//! prediction before the first domain). All of them train through one
+//! stage loop and differ only in the loss they minimise, so
+//! [`paper_lineup`](prelude::paper_lineup) compares them on equal terms:
 //!
 //! ```
 //! use cerl::prelude::*;
 //!
+//! # fn main() -> Result<(), CerlError> {
 //! let gen = SyntheticGenerator::new(SyntheticConfig::small(), 42);
 //! let stream = DomainStream::synthetic(&gen, 2, 0, 42);
+//! let d_in = stream.domain(0).train.dim();
 //!
 //! let mut cfg = CerlConfig::quick_test();
 //! cfg.train.epochs = 2; // doc-test speed
-//! let mut learner = Cerl::new(stream.domain(0).train.dim(), cfg, 42);
-//! for d in 0..stream.len() {
-//!     learner.observe(&stream.domain(d).train, &stream.domain(d).val);
+//! let mut learner = Cerl::try_new(d_in, cfg.clone(), 42)?;
+//! for d in stream.iter() {
+//!     let report = learner.try_observe(&d.train, &d.val)?;
+//!     assert!(report.train.epochs_run <= 2);
 //! }
 //! assert_eq!(learner.stage(), 2);
+//!
+//! // The paper's baselines answer through the same trait.
+//! for mut est in paper_lineup(d_in, &cfg, 42)? {
+//!     est.try_observe(&stream.domain(0).train, &stream.domain(0).val)?;
+//!     assert!(est.try_evaluate(&stream.domain(0).test)?.sqrt_pehe.is_finite());
+//! }
+//! # Ok(())
+//! # }
 //! ```
 
 pub use cerl_core as core;

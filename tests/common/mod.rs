@@ -34,3 +34,28 @@ pub fn rewrap_meta(container: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u
     let (meta, payload) = container[HEADER_LEN..].split_at(meta_len);
     wrap(&edit(std::str::from_utf8(meta).unwrap()), payload)
 }
+
+/// `container` (f64 payload) with the first element of the parameter
+/// `name` set to `value`. The meta document names each parameter beside
+/// the `{"$floats":k}` placeholder of its data; the payload section holds
+/// the array count (u32), then each array's length (u64) and its floats.
+pub fn with_param_float(container: &[u8], name: &str, value: f64) -> Vec<u8> {
+    assert_eq!(container[12], 0, "an f64-payload container");
+    let meta_len = u64::from_le_bytes(container[24..32].try_into().unwrap()) as usize;
+    let meta = std::str::from_utf8(&container[HEADER_LEN..HEADER_LEN + meta_len]).unwrap();
+    let param = meta
+        .find(&format!(r#""name":"{name}""#))
+        .expect("parameter in the snapshot");
+    let key = r#""$floats":"#;
+    let index = &meta[param..][meta[param..].find(key).unwrap() + key.len()..];
+    let k: usize = index[..index.find('}').unwrap()].parse().unwrap();
+    let mut at = HEADER_LEN + meta_len + 4;
+    for _ in 0..k {
+        let len = u64::from_le_bytes(container[at..at + 8].try_into().unwrap()) as usize;
+        at += 8 + 8 * len;
+    }
+    at += 8;
+    let mut out = container.to_vec();
+    out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    out
+}

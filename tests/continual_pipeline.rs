@@ -26,15 +26,17 @@ fn quick_stream(domains: usize, seed: u64) -> DomainStream {
 fn cerl_three_domain_pipeline_beats_trivial_everywhere() {
     let stream = quick_stream(3, 101);
     let d_in = stream.domain(0).train.dim();
-    let mut cerl = Cerl::new(d_in, quick_cfg(), 101);
+    let mut cerl = Cerl::try_new(d_in, quick_cfg(), 101).unwrap();
     for d in 0..3 {
-        let report = cerl.observe(&stream.domain(d).train, &stream.domain(d).val);
+        let report = cerl
+            .try_observe(&stream.domain(d).train, &stream.domain(d).val)
+            .unwrap();
         assert_eq!(report.stage, d + 1);
         assert!(report.memory_len <= 120);
     }
     for d in 0..3 {
         let test = &stream.domain(d).test;
-        let m = EffectMetrics::on_dataset(test, &cerl.predict_ite(&test.x));
+        let m = EffectMetrics::on_dataset(test, &cerl.try_predict_ite(&test.x).unwrap());
         let trivial = EffectMetrics::on_dataset(test, &vec![0.0; test.n()]);
         assert!(
             m.sqrt_pehe < trivial.sqrt_pehe,
@@ -50,19 +52,20 @@ fn strategies_and_cerl_share_the_estimator_interface() {
     let stream = quick_stream(2, 102);
     let d_in = stream.domain(0).train.dim();
     let mut lineup: Vec<Box<dyn ContinualEstimator>> = vec![
-        Box::new(CfrA::new(d_in, quick_cfg(), 102)),
-        Box::new(CfrB::new(d_in, quick_cfg(), 102)),
-        Box::new(CfrC::new(d_in, quick_cfg(), 102)),
-        Box::new(Cerl::new(d_in, quick_cfg(), 102)),
+        Box::new(CfrA::new(d_in, quick_cfg(), 102).unwrap()),
+        Box::new(CfrB::new(d_in, quick_cfg(), 102).unwrap()),
+        Box::new(CfrC::new(d_in, quick_cfg(), 102).unwrap()),
+        Box::new(Cerl::try_new(d_in, quick_cfg(), 102).unwrap()),
     ];
     for est in &mut lineup {
         for d in 0..2 {
-            est.observe(&stream.domain(d).train, &stream.domain(d).val);
+            est.try_observe(&stream.domain(d).train, &stream.domain(d).val)
+                .unwrap();
         }
     }
     for est in &lineup {
         for d in 0..2 {
-            let m = est.evaluate(&stream.domain(d).test);
+            let m = est.try_evaluate(&stream.domain(d).test).unwrap();
             assert!(m.sqrt_pehe.is_finite(), "{} domain {d}", est.name());
             assert!(m.ate_error.is_finite(), "{} domain {d}", est.name());
         }
@@ -77,13 +80,14 @@ fn semisynthetic_news_pipeline_runs_under_all_shifts() {
         let stream = DomainStream::semisynthetic(&gen, shift, 0, 103);
         assert_eq!(stream.len(), 2);
         let d_in = stream.domain(0).train.dim();
-        let mut cerl = Cerl::new(d_in, quick_cfg(), 103);
+        let mut cerl = Cerl::try_new(d_in, quick_cfg(), 103).unwrap();
         for d in 0..2 {
-            cerl.observe(&stream.domain(d).train, &stream.domain(d).val);
+            cerl.try_observe(&stream.domain(d).train, &stream.domain(d).val)
+                .unwrap();
         }
         let m = EffectMetrics::on_dataset(
             &stream.domain(1).test,
-            &cerl.predict_ite(&stream.domain(1).test.x),
+            &cerl.try_predict_ite(&stream.domain(1).test.x).unwrap(),
         );
         assert!(m.sqrt_pehe.is_finite(), "{}", shift.label());
     }
@@ -96,9 +100,11 @@ fn memory_is_bounded_and_balanced_across_five_domains() {
     let mut cfg = quick_cfg();
     cfg.memory_size = 80;
     cfg.train.epochs = 6;
-    let mut cerl = Cerl::new(d_in, cfg, 104);
+    let mut cerl = Cerl::try_new(d_in, cfg, 104).unwrap();
     for d in 0..5 {
-        let report = cerl.observe(&stream.domain(d).train, &stream.domain(d).val);
+        let report = cerl
+            .try_observe(&stream.domain(d).train, &stream.domain(d).val)
+            .unwrap();
         assert!(
             report.memory_len <= 80,
             "stage {}: {}",
@@ -117,11 +123,12 @@ fn predictions_are_deterministic_for_fixed_seed() {
     let stream = quick_stream(2, 105);
     let d_in = stream.domain(0).train.dim();
     let run = || {
-        let mut cerl = Cerl::new(d_in, quick_cfg(), 105);
+        let mut cerl = Cerl::try_new(d_in, quick_cfg(), 105).unwrap();
         for d in 0..2 {
-            cerl.observe(&stream.domain(d).train, &stream.domain(d).val);
+            cerl.try_observe(&stream.domain(d).train, &stream.domain(d).val)
+                .unwrap();
         }
-        cerl.predict_ite(&stream.domain(0).test.x)
+        cerl.try_predict_ite(&stream.domain(0).test.x).unwrap()
     };
     assert_eq!(run(), run());
 }
@@ -130,11 +137,12 @@ fn predictions_are_deterministic_for_fixed_seed() {
 fn potential_outcome_predictions_are_consistent_with_ite() {
     let stream = quick_stream(1, 106);
     let d_in = stream.domain(0).train.dim();
-    let mut cerl = Cerl::new(d_in, quick_cfg(), 106);
-    cerl.observe(&stream.domain(0).train, &stream.domain(0).val);
+    let mut cerl = Cerl::try_new(d_in, quick_cfg(), 106).unwrap();
+    cerl.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+        .unwrap();
     let x = &stream.domain(0).test.x;
-    let (y0, y1) = cerl.predict_potential_outcomes(x);
-    let ite = cerl.predict_ite(x);
+    let (y0, y1) = cerl.try_predict_potential_outcomes(x).unwrap();
+    let ite = cerl.try_predict_ite(x).unwrap();
     for i in 0..x.rows() {
         assert!((ite[i] - (y1[i] - y0[i])).abs() < 1e-10);
     }

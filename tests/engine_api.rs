@@ -5,7 +5,7 @@
 use cerl::prelude::*;
 
 mod common;
-use common::rewrap_meta;
+use common::{rewrap_meta, with_param_float};
 
 fn quick_cfg() -> CerlConfig {
     let mut cfg = CerlConfig::quick_test();
@@ -52,7 +52,7 @@ fn predicting_from_untrained_model_is_a_typed_error() {
         cerl.try_predict_ite(&x),
         Err(CerlError::NotTrained)
     ));
-    for est in paper_lineup(10, &quick_cfg(), 1) {
+    for est in paper_lineup(10, &quick_cfg(), 1).unwrap() {
         assert!(
             matches!(est.try_predict_ite(&x), Err(CerlError::NotTrained)),
             "{} should report NotTrained",
@@ -178,7 +178,7 @@ fn batch_and_chunked_inference_agree_with_single_calls_across_estimators() {
         let second: Vec<usize> = (n / 2..n).collect();
         vec![x.select_rows(&first), x.select_rows(&second)]
     };
-    for mut est in paper_lineup(d_in, &quick_cfg(), 203) {
+    for mut est in paper_lineup(d_in, &quick_cfg(), 203).unwrap() {
         est.try_observe(&stream.domain(0).train, &stream.domain(0).val)
             .unwrap();
         let single = est.try_predict_ite(x).unwrap();
@@ -464,17 +464,12 @@ fn warm_swap_refuses_a_snapshot_that_answers_nan() {
     assert_eq!(after, before);
 }
 
-/// No install path ships a model that answers NaN. A domain with one NaN
-/// outcome poisons the successor trained on it; both the training publish
-/// (`observe_and_swap`) and a direct `publish` of that successor must be
-/// refused, leaving the old version serving its old bits. The test only
-/// asks for "an error and nothing published", so it keeps holding if the
-/// dataset boundary starts rejecting the NaN itself.
-///
-/// Debug builds stop earlier: the tape's debug assertion that every node
-/// is finite panics inside the training pass, before anything could be
-/// published, so there the test checks only that nothing was. The release
-/// lane runs the full check.
+/// No install path ships a model that answers NaN, and no training path
+/// builds one. A domain with one NaN outcome is refused at the stage entry
+/// with a typed error by `observe` and by `observe_and_swap`, leaving the
+/// learner and the served version untouched. A model whose weights hold a
+/// NaN (doctored container bytes) still parses and restores; the warm
+/// probe refuses it through `publish` and `swap_snapshot_bytes_warm`.
 #[test]
 fn no_publish_path_ships_a_nan_model() {
     let stream = quick_stream(2, 23);
@@ -489,45 +484,102 @@ fn no_publish_path_ships_a_nan_model() {
     let x = &stream.domain(0).test.x;
     let before = serving.predict_ite(x).unwrap();
     assert!(before.iter().all(|v| v.is_finite()));
-
-    let mut poisoned = stream.domain(1).train.clone();
-    poisoned.y[0] = f64::NAN;
-    let val = &stream.domain(1).val;
-    let completes =
-        |f: &mut dyn FnMut()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok();
-
-    // Train the poisoned successor off to the side first: in release
-    // builds the NaN reaches the model and only the warm probe can refuse
-    // it.
-    let mut successor = engine;
-    let mut trained = false;
-    completes(&mut || trained = successor.observe(&poisoned, val).is_ok());
-
     let assert_nothing_published = |path: &str| {
         assert_eq!(serving.version(), 1, "{path}: nothing was published");
         assert_eq!(serving.stats().swaps, 0, "{path}: nothing was published");
         assert_eq!(serving.predict_ite(x).unwrap(), before, "{path}");
     };
+
+    let mut poisoned = stream.domain(1).train.clone();
+    poisoned.y[0] = f64::NAN;
+    let val = &stream.domain(1).val;
+    let nan_y = CerlError::NonFiniteInput {
+        field: "train.y",
+        row: 0,
+    };
+    let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
+    let mut successor = engine.clone();
+    assert_eq!(successor.observe(&poisoned, val).unwrap_err(), nan_y);
+    assert_eq!(successor.stage(), 1);
+    assert_eq!(
+        successor.save_bytes_binary(SnapshotPayload::F64).unwrap(),
+        bytes,
+        "the refused stage left the learner untouched"
+    );
+    assert_eq!(serving.observe_and_swap(&poisoned, val).unwrap_err(), nan_y);
+    assert_nothing_published("observe_and_swap");
+
+    // A NaN in `g` would be absorbed: the cosine layer maps a non-finite
+    // row norm to a zero row. The treated head's output weight is not.
+    let nan_weight = with_param_float(&bytes, "h.h1.1.w", f64::NAN);
+    let nan_model = CerlEngine::load_bytes(&nan_weight).expect("still a valid container");
+    assert!(nan_model.predict_ite(x).unwrap().iter().all(|v| v.is_nan()));
     let assert_refused = |outcome: Result<u64, CerlError>, path: &str| {
         match outcome {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
                 assert!(reason.contains("non-finite"), "{path}: {reason}");
             }
-            Err(other) => assert!(!trained, "{path}: expected Incompatible, got {other:?}"),
-            Ok(version) => panic!("{path}: published version {version}"),
+            other => panic!("{path}: expected Incompatible, got {other:?}"),
         }
         assert_nothing_published(path);
     };
+    assert_refused(serving.publish(nan_model), "publish");
+    assert_refused(
+        serving.swap_snapshot_bytes_warm(&nan_weight),
+        "swap_snapshot_bytes_warm",
+    );
+}
 
-    let mut outcome = None;
-    if completes(&mut || outcome = Some(serving.observe_and_swap(&poisoned, val))) {
-        let outcome = outcome.expect("ran to completion");
-        assert_refused(outcome.map(|(_, v)| v), "observe_and_swap");
-    } else {
-        assert!(!trained, "observe_and_swap panicked where observe did not");
-        assert_nothing_published("observe_and_swap");
-    }
-    if trained {
-        assert_refused(serving.publish(successor), "publish");
+/// Every learner refuses a stage whose train or val split holds a NaN or
+/// infinite covariate or outcome, naming the field and the first bad row,
+/// before any parameter moves.
+#[test]
+fn non_finite_stage_inputs_are_typed_errors() {
+    let stream = quick_stream(2, 24);
+    let (train, val) = (&stream.domain(0).train, &stream.domain(0).val);
+    let d_in = train.dim();
+    let x = &stream.domain(0).test.x;
+    let cases: [(&str, usize, f64); 4] = [
+        ("train.x", 5, f64::INFINITY),
+        ("train.y", 3, f64::NAN),
+        ("val.x", 2, f64::NEG_INFINITY),
+        ("val.y", 7, f64::NAN),
+    ];
+    let poison = |field: &str, row: usize, v: f64| {
+        let (mut t, mut vl) = (train.clone(), val.clone());
+        match field {
+            "train.x" => t.x[(row, 1)] = v,
+            "train.y" => t.y[row] = v,
+            "val.x" => vl.x[(row, 0)] = v,
+            _ => vl.y[row] = v,
+        }
+        (t, vl)
+    };
+
+    let mut cerl = Cerl::try_new(d_in, quick_cfg(), 24).unwrap();
+    let mut cfr = CfrModel::try_new(d_in, quick_cfg(), 24).unwrap();
+    let mut s = SLearner::new(d_in, quick_cfg(), 24);
+    let mut t = TLearner::new(d_in, quick_cfg(), 24);
+    for stage in 0..2 {
+        for (field, row, v) in cases {
+            let (bad_train, bad_val) = poison(field, row, v);
+            let expected = Err(CerlError::NonFiniteInput { field, row });
+            let before = cerl.try_predict_ite(x).ok();
+            assert_eq!(
+                cerl.try_observe(&bad_train, &bad_val).map(|_| ()),
+                expected,
+                "CERL stage {stage}"
+            );
+            assert_eq!(cerl.stage(), stage);
+            assert_eq!(cerl.try_predict_ite(x).ok(), before, "CERL untouched");
+            let before = cfr.try_predict_ite(x).ok();
+            assert_eq!(cfr.try_train(&bad_train, &bad_val).map(|_| ()), expected);
+            assert_eq!(cfr.try_predict_ite(x).ok(), before, "CFR untouched");
+            assert_eq!(s.try_train(&bad_train, &bad_val).map(|_| ()), expected);
+            assert_eq!(t.try_train(&bad_train, &bad_val), expected);
+        }
+        let d = stream.domain(stage);
+        cerl.try_observe(&d.train, &d.val).unwrap();
+        cfr.try_train(&d.train, &d.val).unwrap();
     }
 }

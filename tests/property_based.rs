@@ -404,7 +404,7 @@ proptest! {
         let x = Matrix::from_fn(n, 3, |_, _| next());
         let t: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let y: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let ds = CausalDataset::new(x, t.clone(), y.clone(), y.clone(), y.clone());
+        let ds = CausalDataset::try_new(x, t.clone(), y.clone(), y.clone(), y.clone()).unwrap();
         let idx: Vec<usize> = (0..n).rev().collect();
         let sel = ds.select(&idx);
         for (k, &i) in idx.iter().enumerate() {
