@@ -88,7 +88,7 @@ fn supervised_probe(
             let pred = mlp.forward(&mut gr, &store, xin);
             let loss = cerl_nn::compose::mse(&mut gr, pred, yin);
             let grads = gr.backward(loss);
-            opt.step(&mut store, &grads, &params);
+            opt.step(&mut store, grads, &params);
         }
         if epoch % 50 == 49 {
             let mut gr = Graph::new();

@@ -47,8 +47,8 @@ fn train_regressor(
         x.rows(),
         &mut seeds::rng(seed, 0),
         |g, store, batch, _| {
-            let xin = g.input(x.select_rows(batch));
-            let yin = g.input(y.select_rows(batch));
+            let xin = g.input_rows(x, batch);
+            let yin = g.input_rows(&y, batch);
             let pred = net.forward(g, store, xin);
             mse(g, pred, yin)
         },

@@ -117,11 +117,12 @@ impl CfrModel {
             &mut rng,
             |g, store, batch, _| {
                 let tb: Vec<bool> = batch.iter().map(|&i| train.t[i]).collect();
-                let x = g.input(xs.select_rows(batch));
+                let x = g.input_rows(&xs, batch);
                 let r = repr.forward(g, store, x);
                 let y_hat = heads.forward_factual(g, store, r, &tb);
-                let y = g.input(ys.select_rows(batch));
-                let mut terms = vec![(mse(g, y_hat, y), 1.0)];
+                let y = g.input_rows(&ys, batch);
+                let mut terms = Vec::with_capacity(3);
+                terms.push((mse(g, y_hat, y), 1.0));
                 if let Some(ipm) = balance_term(cfg, g, r, &tb, None) {
                     terms.push((ipm, cfg.alpha));
                 }
@@ -278,25 +279,31 @@ pub(crate) fn balance_term(
     if cfg.alpha == 0.0 || cfg.ipm == IpmKind::None {
         return None;
     }
-    let split = |t: &[bool]| -> (Vec<usize>, Vec<usize>) { (0..t.len()).partition(|&i| t[i]) };
-    let (nt, nc) = split(t);
+    // Row indices of one treatment arm, streamed onto the tape.
+    fn arm(t: &[bool], treated: bool) -> impl Iterator<Item = usize> + '_ {
+        (0..t.len()).filter(move |&i| t[i] == treated)
+    }
+    let count = |t: &[bool], treated: bool| arm(t, treated).count();
+    let (nt, nc) = (count(t, true), count(t, false));
     let (treated, control) = match mem {
         Some((phi_mem, mt)) => {
-            let (mt_idx, mc_idx) = split(mt);
-            if nt.len() + mt_idx.len() < 2 || nc.len() + mc_idx.len() < 2 {
+            if nt + count(mt, true) < 2 || nc + count(mt, false) < 2 {
                 return None;
             }
-            let new_t = g.select_rows(r, &nt);
-            let new_c = g.select_rows(r, &nc);
-            let mem_t = g.select_rows(phi_mem, &mt_idx);
-            let mem_c = g.select_rows(phi_mem, &mc_idx);
+            let new_t = g.select_rows(r, arm(t, true));
+            let new_c = g.select_rows(r, arm(t, false));
+            let mem_t = g.select_rows(phi_mem, arm(mt, true));
+            let mem_c = g.select_rows(phi_mem, arm(mt, false));
             (g.concat_rows(mem_t, new_t), g.concat_rows(mem_c, new_c))
         }
         None => {
-            if nt.len() < 2 || nc.len() < 2 {
+            if nt < 2 || nc < 2 {
                 return None;
             }
-            (g.select_rows(r, &nt), g.select_rows(r, &nc))
+            (
+                g.select_rows(r, arm(t, true)),
+                g.select_rows(r, arm(t, false)),
+            )
         }
     };
     match cfg.ipm {

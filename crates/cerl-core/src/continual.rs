@@ -274,19 +274,20 @@ impl Cerl {
             let phi_params = phi.params();
             let mut phi_opt = Adam::new(self.cfg.train.learning_rate);
             let n = xs.rows();
+            let k = self.cfg.train.batch_size.min(n);
+            let mut idx = vec![0; k];
+            let mut g = Graph::new();
             for step in 0..self.cfg.train.phi_warmup_steps {
-                let k = self.cfg.train.batch_size.min(n);
                 let start = (step * k) % n;
-                let idx: Vec<usize> = (0..k).map(|i| (start + i) % n).collect();
-                let grads = {
-                    let mut g = Graph::new();
-                    let src = g.input(r_old_full.select_rows(&idx));
-                    let tgt = g.input(r_new_init.select_rows(&idx));
-                    let mapped = phi.forward(&mut g, self.model.store(), src);
-                    let l = distance(self.cfg.distill_loss, &mut g, mapped, tgt);
-                    g.backward(l)
-                };
-                phi_opt.step(self.model.store_mut(), &grads, &phi_params);
+                idx.iter_mut()
+                    .enumerate()
+                    .for_each(|(i, v)| *v = (start + i) % n);
+                g.reset();
+                let src = g.input_rows(&r_old_full, &idx);
+                let tgt = g.input_rows(&r_new_init, &idx);
+                let mapped = phi.forward(&mut g, self.model.store(), src);
+                let l = distance(self.cfg.distill_loss, &mut g, mapped, tgt);
+                phi_opt.step(self.model.store_mut(), g.backward(l), &phi_params);
             }
         }
 
@@ -393,14 +394,15 @@ impl ContinualObjective<'_> {
     ) -> NodeId {
         let cfg = self.cfg;
         let tb: Vec<bool> = batch.iter().map(|&i| self.t[i]).collect();
-        let x = g.input(self.xs.select_rows(batch));
+        let x = g.input_rows(self.xs, batch);
         let r_new = self.repr.forward(g, store, x);
         let y_hat = self.heads.forward_factual(g, store, r_new, &tb);
-        let y = g.input(self.ys.select_rows(batch));
-        let mut terms = vec![(mse(g, y_hat, y), 1.0)];
+        let y = g.input_rows(self.ys, batch);
+        let mut terms = Vec::with_capacity(6);
+        terms.push((mse(g, y_hat, y), 1.0));
 
         // L_FD: distillation toward the frozen previous representations.
-        let r_old = g.input(self.r_old.select_rows(batch));
+        let r_old = g.input_rows(self.r_old, batch);
         if cfg.beta > 0.0 {
             terms.push((distance(cfg.distill_loss, g, r_old, r_new), cfg.beta));
         }
@@ -416,10 +418,10 @@ impl ContinualObjective<'_> {
                 let k = cfg.train.memory_batch_size.min(mem.len()).max(2);
                 let midx: Vec<usize> = (0..k).map(|_| rng.gen_range(0..mem.len())).collect();
                 let mt: Vec<bool> = midx.iter().map(|&i| mem.t[i]).collect();
-                let mr = g.input(mem.r.select_rows(&midx));
+                let mr = g.input_rows(&mem.r, &midx);
                 let phi_mem = self.phi.forward(g, store, mr);
                 let y_mem_hat = self.heads.forward_factual(g, store, phi_mem, &mt);
-                let my = g.input(Matrix::from_fn(k, 1, |i, _| self.mem_y[midx[i]]));
+                let my = g.input_fn(k, 1, |i, _| self.mem_y[midx[i]]);
                 terms.push((mse(g, y_mem_hat, my), 1.0));
                 mem_rows = Some((phi_mem, mt));
             }

@@ -50,13 +50,22 @@ pub enum CerlError {
         /// What was empty.
         what: &'static str,
     },
-    /// A training or validation split holds a NaN or infinite covariate or
-    /// outcome; the stage is refused before any parameter moves.
+    /// An input holds a NaN or infinite value: a training or validation
+    /// split (the stage is refused before any parameter moves) or a
+    /// predict request's covariates (refused before any row is answered).
     NonFiniteInput {
-        /// Which split and field (`train.x`, `train.y`, `val.x`, `val.y`).
+        /// Which split and field (`train.x`, `train.y`, `val.x`, `val.y`),
+        /// or `x` for a request's covariates.
         field: &'static str,
         /// First unit (row) holding a non-finite value.
         row: usize,
+    },
+    /// A model parameter holds a NaN or infinite weight or bias. Such a
+    /// model is never compiled for inference, so it is refused on restore,
+    /// after the stage that produced it, and therefore before any publish.
+    NonFiniteParameter {
+        /// The parameter's name (e.g. `g.h0.w`).
+        param: String,
     },
     /// Dataset/scaler validation failure from `cerl-data`.
     Data(DataError),
@@ -108,6 +117,9 @@ impl fmt::Display for CerlError {
             CerlError::EmptyInput { what } => write!(f, "empty input: {what}"),
             CerlError::NonFiniteInput { field, row } => {
                 write!(f, "non-finite value in {field} at row {row}")
+            }
+            CerlError::NonFiniteParameter { param } => {
+                write!(f, "non-finite value in model parameter `{param}`")
             }
             CerlError::Data(e) => write!(f, "{e}"),
             CerlError::Snapshot(e) => write!(f, "{e}"),

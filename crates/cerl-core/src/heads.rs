@@ -8,7 +8,6 @@
 //! tape evaluates the whole batch.
 
 use crate::config::NetConfig;
-use cerl_math::Matrix;
 use cerl_nn::{Activation, Graph, Mlp, NodeId, ParamId, ParamStore};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -72,10 +71,8 @@ impl OutcomeHeads {
             "forward_factual: row/treatment mismatch"
         );
         let (y0, y1) = self.forward_both(g, store, r);
-        let mask1 = Matrix::from_fn(t.len(), 1, |i, _| if t[i] { 1.0 } else { 0.0 });
-        let mask0 = mask1.map(|v| 1.0 - v);
-        let m1 = g.input(mask1);
-        let m0 = g.input(mask0);
+        let m1 = g.input_fn(t.len(), 1, |i, _| if t[i] { 1.0 } else { 0.0 });
+        let m0 = g.input_fn(t.len(), 1, |i, _| if t[i] { 0.0 } else { 1.0 });
         let y1m = g.mul(y1, m1);
         let y0m = g.mul(y0, m0);
         g.add(y1m, y0m)
@@ -110,6 +107,7 @@ impl OutcomeHeads {
 mod tests {
     use super::*;
     use crate::config::NetConfig;
+    use cerl_math::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

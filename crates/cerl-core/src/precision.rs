@@ -297,8 +297,17 @@ pub(crate) struct InferencePlan<T> {
 impl<T: PlanFloat> InferencePlan<T> {
     /// The serving pipeline of a trained model: raw covariates in,
     /// outcomes on the original scale out. Fails with
-    /// [`CerlError::NotTrained`] before the first observed domain.
+    /// [`CerlError::NotTrained`] before the first observed domain, and
+    /// with [`CerlError::NonFiniteParameter`] when any weight or bias is
+    /// NaN or infinite: the cosine layer would map a NaN representation
+    /// row to zeros and answer a finite, constant ITE. Restore, every
+    /// stage and so every publish pass through here.
     pub(crate) fn compile(model: &CfrModel) -> Result<Self, CerlError> {
+        if let Some((_, name, _)) = model.store().iter().find(|(_, _, v)| !v.all_finite()) {
+            return Err(CerlError::NonFiniteParameter {
+                param: name.to_string(),
+            });
+        }
         let x_std = model.x_std().ok_or(CerlError::NotTrained)?;
         let y_scale = model.y_scale().ok_or(CerlError::NotTrained)?;
         let clip = x_std.clip().map(|c| (T::from_f64(-c), T::from_f64(c)));
@@ -399,13 +408,23 @@ impl<T: PlanFloat> InferencePlan<T> {
                 found: x.cols(),
             });
         }
-        let mut h: Vec<T> = narrow(x.as_slice());
-        if let Some((means, stds, clip)) = &self.standardize {
-            for row in h.chunks_exact_mut(d) {
-                for ((v, &mu), &sd) in row.iter_mut().zip(means).zip(stds) {
-                    let z = (*v - mu) / sd;
-                    *v = clip.map_or(z, |(lo, hi)| z.clamp(lo, hi));
+        // The first read of every value also screens it: a NaN row would
+        // come out of the cosine layer as zeros and a ±∞ one clamped, so
+        // both would answer plausible finite ITEs.
+        let mut h: Vec<T> = Vec::with_capacity(x.len());
+        for (row, values) in x.as_slice().chunks_exact(d.max(1)).enumerate() {
+            if values.iter().any(|v| !v.is_finite()) {
+                return Err(CerlError::NonFiniteInput { field: "x", row });
+            }
+            let values = values.iter().map(|&v| T::from_f64(v));
+            match &self.standardize {
+                Some((means, stds, clip)) => {
+                    h.extend(values.zip(means).zip(stds).map(|((v, &mu), &sd)| {
+                        let z = (v - mu) / sd;
+                        clip.map_or(z, |(lo, hi)| z.clamp(lo, hi))
+                    }));
                 }
+                None => h.extend(values),
             }
         }
         let mut h = forward_all(&self.hidden, &h, m).into_owned();

@@ -70,6 +70,10 @@ const BINARY_MAGIC: [u8; 8] = *b"CERLSNAP";
 /// Placeholder key that marks a hoisted float array in the meta document.
 const PAYLOAD_KEY: &str = "$floats";
 
+/// Top-level fields of the meta document whose float arrays live in the
+/// payload section.
+const HOISTED_FIELDS: [&str; 2] = ["model", "memory"];
+
 /// Section tags of the container: meta comes first, payload second.
 const SECTION_META: u32 = 1;
 const SECTION_PAYLOAD: u32 = 2;
@@ -879,7 +883,7 @@ fn encode_container(mut doc: Value, payload: SnapshotPayload) -> Result<Vec<u8>,
     let mut arrays: Vec<Vec<f64>> = Vec::new();
     if let Value::Object(fields) = &mut doc {
         for (key, value) in fields.iter_mut() {
-            if key == "model" || key == "memory" {
+            if HOISTED_FIELDS.contains(&key.as_str()) {
                 hoist_float_arrays(value, &mut arrays);
             }
         }
@@ -977,6 +981,18 @@ fn decode_container(bytes: &[u8]) -> Result<Value, CerlError> {
     let text = std::str::from_utf8(meta)
         .map_err(|e| malformed(format!("meta section is not UTF-8: {e}")))?;
     let mut value = serde_json::parse(text).map_err(|e| malformed(e.to_string()))?;
+    // One snapshot, one encoding: every array the writer hoists must come
+    // back as a placeholder.
+    if let Value::Object(fields) = &value {
+        let inline = |(key, v): &(String, Value)| {
+            HOISTED_FIELDS.contains(&key.as_str()) && holds_inline_float_array(v)
+        };
+        if fields.iter().any(inline) {
+            return Err(malformed(
+                "float array left inline in the meta document, not in the payload",
+            ));
+        }
+    }
     restore_float_arrays(&mut value, &mut arrays)?;
     if arrays.iter().any(Option::is_some) {
         return Err(malformed(
@@ -1074,6 +1090,19 @@ fn hoist_float_arrays(v: &mut Value, arrays: &mut Vec<Vec<f64>>) {
             }
         }
         _ => {}
+    }
+}
+
+/// Whether `v` holds an array [`hoist_float_arrays`] would have moved to
+/// the payload: non-empty, every item a float.
+fn holds_inline_float_array(v: &Value) -> bool {
+    match v {
+        Value::Array(items) if !items.is_empty() => {
+            items.iter().all(|item| matches!(item, Value::Float(_)))
+                || items.iter().any(holds_inline_float_array)
+        }
+        Value::Object(fields) => fields.iter().any(|(_, v)| holds_inline_float_array(v)),
+        _ => false,
     }
 }
 

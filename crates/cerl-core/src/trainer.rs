@@ -62,10 +62,12 @@ pub(crate) fn validate_stage_inputs(
 /// Run one training stage from the parameters in `store`.
 ///
 /// Each of at most `cfg.epochs` epochs shuffles `0..n` into mini-batches;
-/// for every batch `step_loss` builds the loss node on a fresh tape, the
-/// gradient's global norm is clipped to `cfg.clip_norm` (when positive)
-/// and Adam steps `params`. After each epoch `val_loss` feeds the early
-/// stopper, whose best parameters are restored at the end.
+/// for every batch `step_loss` builds the loss node on the stage's one
+/// tape, reset between steps so each step reuses the previous one's
+/// buffers, the gradient's global norm is clipped to `cfg.clip_norm`
+/// (when positive) and Adam steps `params`. After each epoch `val_loss`
+/// feeds the early stopper, whose best parameters are restored at the
+/// end. The tape and its buffers are dropped with the stage.
 ///
 /// `rng` draws each epoch's shuffle and is lent to `step_loss` in between,
 /// so a loss that samples (CERL's memory mini-batch) shares the stream.
@@ -82,23 +84,20 @@ pub(crate) fn run_stage<R: Rng>(
     let mut stopper = EarlyStopper::new(params.to_vec(), cfg.patience);
     let mut epochs_run = 0;
     let mut final_train_loss = f64::NAN;
+    let mut g = Graph::new();
     for _ in 0..cfg.epochs {
         epochs_run += 1;
         let batches = minibatches(n, cfg.batch_size, rng);
         let mut epoch_loss = 0.0;
         for batch in &batches {
-            // The tape is dropped before the optimiser step: the gradients
-            // own their data.
-            let mut grads = {
-                let mut g = Graph::new();
-                let loss = step_loss(&mut g, store, batch, rng);
-                epoch_loss += g.scalar(loss);
-                g.backward(loss)
-            };
+            g.reset();
+            let loss = step_loss(&mut g, store, batch, rng);
+            epoch_loss += g.scalar(loss);
+            let grads = g.backward(loss);
             if cfg.clip_norm > 0.0 {
                 grads.clip_global_norm(cfg.clip_norm);
             }
-            opt.step(store, &grads, params);
+            opt.step(store, grads, params);
         }
         final_train_loss = epoch_loss / batches.len().max(1) as f64;
         if stopper.update(store, val_loss(store)?) {

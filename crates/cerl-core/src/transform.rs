@@ -121,7 +121,7 @@ mod tests {
             let mapped = phi.forward(&mut g, &store, o);
             let l = mean_cosine_distance(&mut g, mapped, nv);
             let grads = g.backward(l);
-            opt.step(&mut store, &grads, &params);
+            opt.step(&mut store, grads, &params);
         }
         let after = loss_at(&store);
         assert!(

@@ -8,7 +8,10 @@
 //! everywhere else a portable tile that LLVM autovectorizes is the only
 //! path. [`matmul_serial`] and [`matmul_parallel`] pack `B` per call;
 //! callers that reuse the same weights (the compiled inference plan in
-//! `cerl-core`) pack once and call [`gemm`]. The parallel path partitions
+//! `cerl-core`) pack once and call [`gemm`], and callers that multiply
+//! changing operands into their own buffers (the training tape in
+//! `cerl-nn`) keep a [`GemmScratch`] whose pack storage is reused. The
+//! parallel path partitions
 //! output rows across `crossbeam::scope` workers over the *same* kernel,
 //! and kicks in only above a FLOP threshold so small multiplies stay
 //! thread-free.
@@ -25,10 +28,10 @@
 //! threads, so [`matmul`], [`matmul_serial`], [`matmul_parallel`] and
 //! [`gemm`] return **bitwise-identical** results — on finite *and*
 //! non-finite inputs (there are no data-dependent skips: a `0.0 × ∞`
-//! contributes the same `NaN` in every kernel). [`matmul_at_b`] and
-//! [`matmul_a_bt`] run the same kernel on a transposed copy of one
-//! operand, and [`kernel_dot`] is its one-column case, so they are bound
-//! by the same contract.
+//! contributes the same `NaN` in every kernel). [`matmul_at_b`] runs the
+//! same kernel on a transposed copy of `A`, [`matmul_a_bt`] on `Bᵀ` packed
+//! straight from `B`'s rows, and [`kernel_dot`] is its one-column case, so
+//! they are bound by the same contract.
 
 use crate::matrix::Matrix;
 use std::ops::AddAssign;
@@ -226,12 +229,30 @@ pub struct PackedB<T> {
     panels: Vec<[T; NR]>,
 }
 
+impl<T: Element> Default for PackedB<T> {
+    /// An empty pack, for a [`GemmScratch`] to refill.
+    fn default() -> Self {
+        Self {
+            k: 0,
+            n: 0,
+            panels: Vec::new(),
+        }
+    }
+}
+
 impl<T: Element> PackedB<T> {
     /// Pack a `k×n` matrix, converting with [`Element::from_f64`].
     pub fn pack(b: &Matrix) -> Self {
+        let mut packed = Self::default();
+        packed.pack_into(b);
+        packed
+    }
+
+    /// Repack `self` with the `k×n` matrix `b`, reusing its storage.
+    fn pack_into(&mut self, b: &Matrix) {
         let (k, n) = b.shape();
-        let mut panels = vec![[T::ZERO; NR]; n.div_ceil(NR) * k];
-        for (j, panel) in panels.chunks_exact_mut(k.max(1)).enumerate() {
+        self.reshape(k, n);
+        for (j, panel) in self.panels.chunks_exact_mut(k.max(1)).enumerate() {
             let (jj, nr) = (j * NR, NR.min(n - j * NR));
             for (dst, row) in panel.iter_mut().zip(b.iter_rows()) {
                 // panic-ok: jj + nr <= n == row.len() by the panel bounds.
@@ -241,7 +262,31 @@ impl<T: Element> PackedB<T> {
                     .for_each(|(d, &s)| *d = T::from_f64(s));
             }
         }
-        Self { k, n, panels }
+    }
+
+    /// Repack `self` with `bᵀ` (so `k = b.cols()`, `n = b.rows()`), reading
+    /// `b` in place: the panels equal those of `pack(&b.transpose())`.
+    fn pack_transposed_into(&mut self, b: &Matrix) {
+        let (n, k) = b.shape();
+        self.reshape(k, n);
+        for (j, panel) in self.panels.chunks_exact_mut(k.max(1)).enumerate() {
+            let (jj, nr) = (j * NR, NR.min(n - j * NR));
+            for t in 0..nr {
+                for (dst, &s) in panel.iter_mut().zip(b.row(jj + t)) {
+                    // panic-ok: t < nr <= NR, the panel row's width.
+                    dst[t] = T::from_f64(s);
+                }
+            }
+        }
+    }
+
+    /// Size the panels for a `k×n` operand, every lane zeroed (the last
+    /// panel's padding lanes stay zero).
+    fn reshape(&mut self, k: usize, n: usize) {
+        self.k = k;
+        self.n = n;
+        self.panels.clear();
+        self.panels.resize(n.div_ceil(NR) * k, [T::ZERO; NR]);
     }
 
     /// Rows of `B` (the inner dimension).
@@ -305,20 +350,22 @@ pub fn worker_threads() -> usize {
 /// # Panics
 /// If `a.cols() != b.rows()`.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    // panic-ok: documented API precondition; shape mismatch is a caller bug.
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul: inner dimension mismatch {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let flops = 2 * a.rows() * a.cols() * b.cols();
-    if flops >= PARALLEL_FLOP_THRESHOLD && worker_threads() > 1 && a.rows() > 1 {
-        matmul_parallel(a, b)
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    GemmScratch::default().matmul_into(a, b, &mut out);
+    out
+}
+
+/// `out += A·B` for prepacked `B` (shapes validated by the caller), on the
+/// serial or the row-partitioned kernel by problem size.
+fn gemm_auto(a: &[f64], b: &PackedB<f64>, out: &mut [f64]) {
+    let m = out.len().checked_div(b.n).unwrap_or(0);
+    let flops = 2 * m * b.k * b.n;
+    let threads = if flops >= PARALLEL_FLOP_THRESHOLD && worker_threads() > 1 && m > 1 {
+        worker_threads()
     } else {
-        matmul_serial(a, b)
-    }
+        1
+    };
+    gemm_partitioned(a, b, out, threads);
 }
 
 /// Single-threaded product over the blocked microkernel.
@@ -351,34 +398,36 @@ pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
 /// validated shapes). Separate from [`matmul_parallel`] so tests can pin
 /// arbitrary partition widths and assert bitwise identity.
 fn matmul_partitioned(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(m, n);
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    gemm_partitioned(a.as_slice(), &PackedB::pack(b), out.as_mut_slice(), threads);
+    out
+}
+
+/// `out += A·B` with the output rows split into contiguous chunks over
+/// `threads` scoped workers (one chunk runs on the caller's thread). The
+/// kernel's rounding does not depend on the partition (module docs).
+fn gemm_partitioned(a: &[f64], b: &PackedB<f64>, out: &mut [f64], threads: usize) {
+    let n = b.n;
     // Zero-width output: nothing to compute, and `chunks_mut(0)` below
     // would panic — the historical `b.cols() == 0` crash.
-    if m == 0 || n == 0 {
-        return out;
+    if out.is_empty() || n == 0 {
+        return;
     }
-    let packed = PackedB::pack(b);
+    let m = out.len() / n;
     let threads = threads.clamp(1, m);
     if threads == 1 {
-        gemm_rows(a.as_slice(), &packed, out.as_mut_slice(), 0);
-        return out;
+        gemm_rows(a, b, out, 0);
+        return;
     }
-    let (as_, packed) = (a.as_slice(), &packed);
-
-    // Partition output rows into contiguous chunks, one per worker. The
-    // kernel's rounding does not depend on the partition (module docs).
     let chunk_rows = m.div_ceil(threads);
-    let out_slice = out.as_mut_slice();
     crossbeam::scope(|scope| {
-        for (ci, out_chunk) in out_slice.chunks_mut(chunk_rows * n).enumerate() {
+        for (ci, out_chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
             let row0 = ci * chunk_rows;
-            scope.spawn(move |_| gemm_rows(as_, packed, out_chunk, row0));
+            scope.spawn(move |_| gemm_rows(a, b, out_chunk, row0));
         }
     })
     // panic-ok: propagating a worker panic, not originating one.
     .expect("matmul_parallel: worker thread panicked");
-    out
 }
 
 /// Blocked microkernel over output rows `row0..`: `out_rows` is a
@@ -427,46 +476,120 @@ fn add_into<T: Element>(out: &mut [T], start: usize, nr: usize, acc: &[T; NR]) {
     }
 }
 
-/// `Aᵀ · B` on the blocked kernel.
-///
-/// Transposes `A` into a scratch copy and hands it to [`matmul`], so the
-/// result is bitwise-identical to `matmul(&a.transpose(), b)` and carries
-/// the module's determinism contract. The copy costs `O(rows·cols)`
-/// against the product's `O(rows·cols·b.cols())`.
+/// `Aᵀ · B` on the blocked kernel, bitwise-identical to
+/// `matmul(&a.transpose(), b)`: see [`GemmScratch::matmul_at_b_into`].
 ///
 /// # Panics
 /// If `a.rows() != b.rows()`.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
-    // panic-ok: documented API precondition; shape mismatch is a caller bug.
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_at_b: row mismatch {:?} vs {:?}",
-        a.shape(),
-        b.shape()
-    );
-    matmul(&a.transpose(), b)
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    GemmScratch::default().matmul_at_b_into(a, b, &mut out);
+    out
 }
 
-/// `A · Bᵀ` on the blocked kernel.
-///
-/// Transposes `B` into a scratch copy and hands it to [`matmul`], so the
-/// result is bitwise-identical to `matmul(a, &b.transpose())` and carries
-/// the module's determinism contract. The copy costs `O(rows·cols)`
-/// against the product's `O(a.rows()·rows·cols)`.
+/// `A · Bᵀ` on the blocked kernel, bitwise-identical to
+/// `matmul(a, &b.transpose())`: see [`GemmScratch::matmul_a_bt_into`].
 ///
 /// # Panics
 /// If `a.cols() != b.cols()`.
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    // panic-ok: documented API precondition; shape mismatch is a caller bug.
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_a_bt: column mismatch {:?} vs {:?}",
-        a.shape(),
-        b.shape()
-    );
-    matmul(a, &b.transpose())
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    GemmScratch::default().matmul_a_bt_into(a, b, &mut out);
+    out
+}
+
+/// Operand storage kept across products that write into caller buffers:
+/// the packed `B` panels and, for `Aᵀ·B`, the transposed `A`. A caller
+/// that multiplies many differently shaped operands in a loop (the
+/// training tape in `cerl-nn`) keeps one and allocates nothing once its
+/// buffers have grown to the largest shape.
+///
+/// Every `*_into` product zero-fills `out` and then runs the kernel
+/// (`out += A·B`), so it writes exactly what the allocating form
+/// returns, signed zeros included.
+#[derive(Debug, Default)]
+pub struct GemmScratch {
+    packed: PackedB<f64>,
+    a_t: Vec<f64>,
+}
+
+impl GemmScratch {
+    /// `out = A · B`, bitwise-identical to [`matmul`].
+    ///
+    /// # Panics
+    /// If `a.cols() != b.rows()` or `out` is not `a.rows()×b.cols()`.
+    pub fn matmul_into(&mut self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        // panic-ok: documented API precondition; shape mismatch is a caller bug.
+        assert_eq!(
+            a.cols(),
+            b.rows(),
+            "matmul: inner dimension mismatch {:?} x {:?}",
+            a.shape(),
+            b.shape()
+        );
+        self.packed.pack_into(b);
+        Self::run(a.as_slice(), &self.packed, out);
+    }
+
+    /// `out = Aᵀ · B`, bitwise-identical to `matmul(&a.transpose(), b)`.
+    /// The kernel reads its left operand by rows, so `A` is transposed
+    /// into the scratch (`O(rows·cols)` against the product's
+    /// `O(rows·cols·b.cols())`); `B` is packed as it is.
+    ///
+    /// # Panics
+    /// If `a.rows() != b.rows()` or `out` is not `a.cols()×b.cols()`.
+    pub fn matmul_at_b_into(&mut self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        // panic-ok: documented API precondition; shape mismatch is a caller bug.
+        assert_eq!(
+            a.rows(),
+            b.rows(),
+            "matmul_at_b: row mismatch {:?} vs {:?}",
+            a.shape(),
+            b.shape()
+        );
+        let (m, k) = (a.cols(), a.rows());
+        self.a_t.clear();
+        self.a_t.resize(m * k, 0.0);
+        for (i, row) in a.iter_rows().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                // panic-ok: j < m and i < k, so j·k + i < m·k == a_t.len().
+                self.a_t[j * k + i] = v;
+            }
+        }
+        self.packed.pack_into(b);
+        Self::run(&self.a_t, &self.packed, out);
+    }
+
+    /// `out = A · Bᵀ`, bitwise-identical to `matmul(a, &b.transpose())`.
+    /// `Bᵀ` is packed straight from `B`'s rows, with no transposed copy.
+    ///
+    /// # Panics
+    /// If `a.cols() != b.cols()` or `out` is not `a.rows()×b.rows()`.
+    pub fn matmul_a_bt_into(&mut self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        // panic-ok: documented API precondition; shape mismatch is a caller bug.
+        assert_eq!(
+            a.cols(),
+            b.cols(),
+            "matmul_a_bt: column mismatch {:?} vs {:?}",
+            a.shape(),
+            b.shape()
+        );
+        self.packed.pack_transposed_into(b);
+        Self::run(a.as_slice(), &self.packed, out);
+    }
+
+    /// Zero `out`, then `out += A·B` on the packed `B`.
+    fn run(a: &[f64], b: &PackedB<f64>, out: &mut Matrix) {
+        let m = a.len().checked_div(b.k).unwrap_or(out.rows());
+        // panic-ok: documented API precondition; shape mismatch is a caller bug.
+        assert_eq!(
+            out.shape(),
+            (m, b.n),
+            "gemm: output buffer has the wrong shape"
+        );
+        out.fill_zero();
+        gemm_auto(a, b, out.as_mut_slice());
+    }
 }
 
 /// Matrix–vector product `A · x`.

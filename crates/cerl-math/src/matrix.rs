@@ -248,18 +248,6 @@ impl Matrix {
         self.zip_map(other, |a, b| a + b)
     }
 
-    /// `self - other`.
-    pub fn sub(&self, other: &Self) -> Self {
-        self.assert_same_shape(other, "sub");
-        self.zip_map(other, |a, b| a - b)
-    }
-
-    /// Hadamard (elementwise) product.
-    pub fn hadamard(&self, other: &Self) -> Self {
-        self.assert_same_shape(other, "hadamard");
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// `self * s` elementwise.
     pub fn scale(&self, s: f64) -> Self {
         self.map(|v| v * s)
@@ -599,8 +587,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 2, vec![4.0, 3.0, 2.0, 1.0]);
         assert_eq!(a.add(&b), Matrix::filled(2, 2, 5.0));
-        assert_eq!(a.sub(&a), Matrix::zeros(2, 2));
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 6.0, 6.0, 4.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0, 8.0]);
 
         let mut c = a.clone();

@@ -54,10 +54,13 @@ pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
     );
     let a_sq: Vec<f64> = a.iter_rows().map(|r| dot(r, r)).collect();
     let b_sq: Vec<f64> = b.iter_rows().map(|r| dot(r, r)).collect();
-    let cross = crate::matmul::matmul_a_bt(a, b);
-    Matrix::from_fn(a.rows(), b.rows(), |i, j| {
-        (a_sq[i] + b_sq[j] - 2.0 * cross[(i, j)]).max(0.0)
-    })
+    let mut d = crate::matmul::matmul_a_bt(a, b);
+    for (i, row) in (0..a.rows()).zip(d.as_mut_slice().chunks_exact_mut(b.rows().max(1))) {
+        for (cross, &bj) in row.iter_mut().zip(&b_sq) {
+            *cross = (a_sq[i] + bj - 2.0 * *cross).max(0.0);
+        }
+    }
+    d
 }
 
 /// Normalize each row of `m` to unit L2 norm; all-zero rows are left as-is.

@@ -1568,6 +1568,9 @@ impl Reactor {
                     budget -= 1;
                     match wire::decode_request(&payload) {
                         Ok(request) => self.admit(idx, request, now),
+                        Err(e @ WireError::NonFiniteCovariate { request_id, .. }) => {
+                            self.refuse(idx, request_id, &e);
+                        }
                         Err(e) => self.wire_fault(idx, 0, e),
                     }
                 }
@@ -1748,6 +1751,26 @@ impl Reactor {
             out.push('\n');
         }
         out
+    }
+
+    /// Answer a well-framed request that can never be served with
+    /// [`Status::MalformedRequest`]; the connection's framing is intact,
+    /// so it stays open.
+    fn refuse(&mut self, idx: usize, request_id: u64, error: &WireError) {
+        // panic-ok: `idx` is a token minted from a conns slot index
+        // at install time, always < conns.len().
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        self.stats.requests.fetch_add(1, Ordering::Relaxed); // ordering: lone stat counter, no edges
+        conn.stats.requests.fetch_add(1, Ordering::Relaxed); // ordering: lone stat counter, no edges
+        let response = Response::Error {
+            request_id,
+            status: Status::MalformedRequest,
+            detail: error.to_string(),
+        };
+        self.stats.record_response(&response);
+        wire::encode_response(&response, &mut conn.write_buf);
     }
 
     /// Answer a hostile or corrupt frame and mark the connection for

@@ -279,6 +279,15 @@ pub enum WireError {
         /// Bytes actually present.
         found: usize,
     },
+    /// A well-framed request holds a NaN or infinite covariate. Unlike
+    /// the other variants the framing is intact, so only this request is
+    /// refused and the connection carries on.
+    NonFiniteCovariate {
+        /// The refused request's id.
+        request_id: u64,
+        /// First row holding a non-finite value.
+        row: u32,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -308,6 +317,10 @@ impl fmt::Display for WireError {
             WireError::SizeMismatch { expected, found } => write!(
                 f,
                 "declared shape needs {expected} payload bytes, found {found}"
+            ),
+            WireError::NonFiniteCovariate { request_id, row } => write!(
+                f,
+                "request {request_id} holds a non-finite covariate in row {row}"
             ),
         }
     }
@@ -438,8 +451,20 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     }
     let values = rows as usize * cols as usize;
     let mut covariates = Vec::with_capacity(values);
-    for _ in 0..values {
-        covariates.push(f64::from_bits(cursor.u64("covariate")?));
+    let mut non_finite = None;
+    for k in 0..values {
+        let v = f64::from_bits(cursor.u64("covariate")?);
+        if !v.is_finite() && non_finite.is_none() {
+            non_finite = Some(k / cols as usize);
+        }
+        covariates.push(v);
+    }
+    if let Some(row) = non_finite {
+        return Err(WireError::NonFiniteCovariate {
+            request_id,
+            // The row is below `rows`, a `u32`.
+            row: row as u32,
+        });
     }
     Ok(Request {
         request_id,

@@ -11,57 +11,56 @@
 //! An operand's gradient is not even computed when the operand is a plain
 //! [`Graph::input`] or derived from inputs alone — e.g. `go·Wᵀ` for a
 //! layer's data input, the largest backward GEMM of a training step.
+//!
+//! Every gradient buffer comes from the tape's pool and goes back to it on
+//! [`Graph::reset`], and the products write into them through the tape's
+//! [`GemmScratch`], so a steady-state backward sweep allocates nothing.
 
-use crate::graph::{Graph, NodeId, Op, NORM_EPS};
+use crate::graph::{col_norm, Graph, Node, NodeId, Op, Pool, NORM_EPS};
 use crate::params::ParamId;
-use cerl_math::{matmul_a_bt, matmul_at_b, Matrix};
-use std::collections::HashMap;
+use cerl_math::matmul::GemmScratch;
+use cerl_math::Matrix;
 
-/// Gradients produced by [`Graph::backward`].
+/// Gradients produced by [`Graph::backward`], held by the tape until its
+/// next [`Graph::reset`] or `backward`.
+#[derive(Default)]
 pub struct Gradients {
     node_grads: Vec<Option<Matrix>>,
-    param_grads: HashMap<usize, Matrix>,
+    /// Indexed by [`ParamId::index`].
+    param_grads: Vec<Option<Matrix>>,
 }
 
 impl Gradients {
     /// Gradient w.r.t. a parameter (summed over all tape occurrences), or
     /// `None` when the parameter did not influence the loss.
     pub fn param_grad(&self, id: ParamId) -> Option<&Matrix> {
-        self.param_grads.get(&id.index())
+        self.param_grads.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Gradient w.r.t. a node that requires one (a parameter, an
-    /// `input_with_grad` leaf, or a node computed from either), or `None`
-    /// when no gradient reached it. Plain `input` leaves and nodes computed
-    /// from them alone always report `None`.
+    /// Gradient w.r.t. an [`Graph::input_with_grad`] leaf, or `None` when
+    /// no gradient reached it. Every other node reports `None`: plain
+    /// inputs get no gradient, a parameter leaf's gradient is folded into
+    /// [`Gradients::param_grad`], and an interior node's buffer serves a
+    /// later gradient once it has been propagated.
     pub fn node_grad(&self, id: NodeId) -> Option<&Matrix> {
-        self.node_grads.get(id.index()).and_then(|g| g.as_ref())
+        self.node_grads.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Global L2 norm over all parameter gradients.
-    ///
-    /// Summation runs in ascending parameter order: HashMap iteration order
-    /// is randomized per process, and float addition is not associative, so
-    /// an unordered sum would make gradient clipping — and therefore whole
-    /// training runs — non-reproducible at the last ulp.
+    /// Global L2 norm over all parameter gradients, summed in ascending
+    /// parameter order (float addition is not associative, so a fixed
+    /// order keeps gradient clipping reproducible to the last ulp).
     pub fn global_norm(&self) -> f64 {
-        let mut keys: Vec<usize> = self.param_grads.keys().copied().collect();
-        keys.sort_unstable();
-        keys.iter()
-            .map(|k| {
-                self.param_grads[k]
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum::<f64>()
-            })
+        self.param_grads
+            .iter()
+            .flatten()
+            .map(|g| g.as_slice().iter().map(|v| v * v).sum::<f64>())
             .sum::<f64>()
             .sqrt()
     }
 
     /// Scale every parameter gradient in place (used for clipping).
     pub fn scale_all(&mut self, s: f64) {
-        for g in self.param_grads.values_mut() {
+        for g in self.param_grads.iter_mut().flatten() {
             g.scale_inplace(s);
         }
     }
@@ -78,240 +77,264 @@ impl Gradients {
             1.0
         }
     }
+
+    /// Return every buffer to `pool`, leaving no gradient behind.
+    pub(crate) fn recycle(&mut self, pool: &mut Pool) {
+        let params = self.param_grads.iter_mut().map(Option::take);
+        for m in self.node_grads.drain(..).chain(params).flatten() {
+            pool.give(m);
+        }
+    }
 }
 
 impl Graph {
     /// Reverse-mode gradient of the scalar node `loss` w.r.t. every node
-    /// and parameter that influences it.
+    /// and parameter that influences it. The gradients live on the tape
+    /// until its next `reset` or `backward`.
     ///
     /// # Panics
     /// If `loss` is not a 1×1 node.
-    pub fn backward(&self, loss: NodeId) -> Gradients {
+    pub fn backward(&mut self, loss: NodeId) -> &mut Gradients {
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
             "backward: loss must be a scalar (1x1) node"
         );
-        let n = self.nodes.len();
-        let mut grads: Vec<Option<Matrix>> = vec![None; n];
-        grads[loss.index()] = Some(Matrix::filled(1, 1, 1.0));
+        let Graph {
+            nodes,
+            links,
+            pool,
+            gemm,
+            grads,
+        } = self;
+        grads.recycle(pool);
+        grads.node_grads.resize_with(nodes.len(), || None);
+        let mut seed = pool.take(1, 1);
+        seed[(0, 0)] = 1.0;
+        grads.node_grads[loss.index()] = Some(seed);
 
+        let mut sweep = Sweep {
+            nodes,
+            links,
+            pool,
+            gemm,
+            grads,
+        };
         for idx in (0..=loss.index()).rev() {
-            let Some(go) = grads[idx].take() else {
+            let Some(go) = sweep.grads.node_grads[idx].take() else {
                 continue;
             };
-            // Re-store so node_grad() can report it afterwards.
-            let node = &self.nodes[idx];
-            self.propagate(idx, &node.op, &go, &mut grads);
-            grads[idx] = Some(go);
-        }
-
-        let mut param_grads: HashMap<usize, Matrix> = HashMap::new();
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if let Op::Param(pid) = node.op {
-                if let Some(g) = &grads[idx] {
-                    param_grads
-                        .entry(pid.index())
-                        .and_modify(|acc| acc.add_assign(g))
-                        .or_insert_with(|| g.clone());
-                }
+            sweep.propagate(idx, &go);
+            if matches!(nodes[idx].op, Op::Input | Op::Param(_)) {
+                // Kept for the parameter fold below and node_grad().
+                sweep.grads.node_grads[idx] = Some(go);
+            } else {
+                // Fully propagated: its buffer serves a later gradient.
+                sweep.pool.give(go);
             }
         }
-        Gradients {
-            node_grads: grads,
-            param_grads,
+
+        // Fold each parameter's occurrences in tape order.
+        for (idx, node) in nodes.iter().enumerate() {
+            let Op::Param(pid) = node.op else { continue };
+            let Some(g) = grads.node_grads[idx].take() else {
+                continue;
+            };
+            let p = pid.index();
+            if grads.param_grads.len() <= p {
+                grads.param_grads.resize_with(p + 1, || None);
+            }
+            match &mut grads.param_grads[p] {
+                Some(acc) => {
+                    acc.add_assign(&g);
+                    pool.give(g);
+                }
+                slot @ None => *slot = Some(g),
+            }
+        }
+        grads
+    }
+}
+
+/// One reverse sweep over a tape's nodes, writing into its gradients.
+struct Sweep<'a> {
+    nodes: &'a [Node],
+    links: &'a [usize],
+    pool: &'a mut Pool,
+    gemm: &'a mut GemmScratch,
+    grads: &'a mut Gradients,
+}
+
+impl Sweep<'_> {
+    /// Add the delta that `write` produces to `target`'s gradient. `write`
+    /// gets a buffer shaped like `target` with unspecified contents and
+    /// must set every entry. When `target` does not require a gradient,
+    /// `write` never runs, so the work of an unwanted operand gradient is
+    /// skipped along with its storage; no gradient then reaches the
+    /// subtree behind `target` either.
+    fn accumulate(&mut self, target: NodeId, write: impl FnOnce(&mut Matrix, &mut GemmScratch)) {
+        let node = &self.nodes[target.index()];
+        if !node.requires_grad {
+            return;
+        }
+        let mut delta = self.pool.take(node.value.rows(), node.value.cols());
+        write(&mut delta, self.gemm);
+        let slot = &mut self.grads.node_grads[target.index()];
+        if let Some(acc) = slot.as_mut() {
+            acc.add_assign(&delta);
+            self.pool.give(delta);
+        } else {
+            *slot = Some(delta);
         }
     }
 
-    /// Add `delta()` to `target`'s gradient. When `target` does not
-    /// require a gradient, `delta` is never evaluated, so the work of an
-    /// unwanted operand gradient is skipped along with its storage; no
-    /// gradient then reaches the subtree behind `target` either.
-    fn accumulate(
-        &self,
-        grads: &mut [Option<Matrix>],
-        target: NodeId,
-        delta: impl FnOnce() -> Matrix,
-    ) {
-        if !self.nodes[target.index()].requires_grad {
-            return;
-        }
-        let delta = delta();
-        match &mut grads[target.index()] {
-            Some(acc) => acc.add_assign(&delta),
-            slot @ None => *slot = Some(delta),
-        }
+    /// `target += f(go)` elementwise.
+    fn unary(&mut self, target: NodeId, go: &Matrix, f: impl Fn(f64) -> f64) {
+        self.accumulate(target, |d, _| {
+            for (o, &g) in d.as_mut_slice().iter_mut().zip(go.as_slice()) {
+                *o = f(g);
+            }
+        });
+    }
+
+    /// `target += f(go, v)` elementwise, `v` shaped like `go`.
+    fn binary(&mut self, target: NodeId, go: &Matrix, v: &Matrix, f: impl Fn(f64, f64) -> f64) {
+        self.accumulate(target, |d, _| {
+            let out = d.as_mut_slice().iter_mut();
+            for ((o, &g), &x) in out.zip(go.as_slice()).zip(v.as_slice()) {
+                *o = f(g, x);
+            }
+        });
     }
 
     #[allow(clippy::too_many_lines)]
-    fn propagate(&self, idx: usize, op: &Op, go: &Matrix, grads: &mut [Option<Matrix>]) {
-        match op {
+    fn propagate(&mut self, idx: usize, go: &Matrix) {
+        let nodes = self.nodes;
+        let value = |id: &NodeId| &nodes[id.index()].value;
+        let y = &nodes[idx].value;
+        match &nodes[idx].op {
             Op::Input | Op::Param(_) => {}
             Op::Add(a, b) => {
-                self.accumulate(grads, *a, || go.clone());
-                self.accumulate(grads, *b, || go.clone());
+                self.unary(*a, go, |g| g);
+                self.unary(*b, go, |g| g);
             }
             Op::Sub(a, b) => {
-                self.accumulate(grads, *a, || go.clone());
-                self.accumulate(grads, *b, || go.scale(-1.0));
+                self.unary(*a, go, |g| g);
+                self.unary(*b, go, |g| -g);
             }
             Op::Mul(a, b) => {
-                self.accumulate(grads, *a, || go.hadamard(self.value(*b)));
-                self.accumulate(grads, *b, || go.hadamard(self.value(*a)));
+                self.binary(*a, go, value(b), |g, bv| g * bv);
+                self.binary(*b, go, value(a), |g, av| g * av);
             }
-            Op::Scale(a, c) => {
-                self.accumulate(grads, *a, || go.scale(*c));
-            }
-            Op::AddScalar(a) => {
-                self.accumulate(grads, *a, || go.clone());
-            }
+            Op::Scale(a, c) => self.unary(*a, go, |g| g * c),
+            Op::AddScalar(a) => self.unary(*a, go, |g| g),
             Op::AddRowBroadcast(m, bias) => {
-                self.accumulate(grads, *m, || go.clone());
+                self.unary(*m, go, |g| g);
                 // Bias gradient: column sums of go.
-                self.accumulate(grads, *bias, || {
-                    let mut db = Matrix::zeros(1, go.cols());
-                    for i in 0..go.rows() {
-                        for (j, &v) in go.row(i).iter().enumerate() {
-                            db[(0, j)] += v;
+                self.accumulate(*bias, |db, _| {
+                    db.fill_zero();
+                    for row in go.iter_rows() {
+                        for (d, &v) in db.as_mut_slice().iter_mut().zip(row) {
+                            *d += v;
                         }
                     }
-                    db
                 });
             }
             Op::MatMul(a, b) => {
-                self.accumulate(grads, *a, || matmul_a_bt(go, self.value(*b)));
-                self.accumulate(grads, *b, || matmul_at_b(self.value(*a), go));
+                let (av, bv) = (value(a), value(b));
+                self.accumulate(*a, |d, gemm| gemm.matmul_a_bt_into(go, bv, d));
+                self.accumulate(*b, |d, gemm| gemm.matmul_at_b_into(av, go, d));
             }
-            Op::Relu(a) => {
-                let x = self.value(*a);
-                let da = go.zip_map(x, |g, xv| if xv > 0.0 { g } else { 0.0 });
-                self.accumulate(grads, *a, || da);
-            }
+            Op::Relu(a) => self.binary(*a, go, value(a), |g, x| if x > 0.0 { g } else { 0.0 }),
             Op::Elu(a, alpha) => {
-                let x = self.value(*a);
-                let y = self.value(NodeId(idx));
-                let da = Matrix::from_fn(x.rows(), x.cols(), |i, j| {
-                    let g = go[(i, j)];
-                    if x[(i, j)] > 0.0 {
-                        g
-                    } else {
-                        g * (y[(i, j)] + alpha)
+                let x = value(a);
+                self.accumulate(*a, |d, _| {
+                    let out = d.as_mut_slice().iter_mut();
+                    let inputs = go.as_slice().iter().zip(x.as_slice()).zip(y.as_slice());
+                    for (o, ((&g, &xv), &yv)) in out.zip(inputs) {
+                        *o = if xv > 0.0 { g } else { g * (yv + alpha) };
                     }
                 });
-                self.accumulate(grads, *a, || da);
             }
-            Op::Sigmoid(a) => {
-                let y = self.value(NodeId(idx));
-                let da = go.zip_map(y, |g, yv| g * yv * (1.0 - yv));
-                self.accumulate(grads, *a, || da);
-            }
-            Op::Tanh(a) => {
-                let y = self.value(NodeId(idx));
-                let da = go.zip_map(y, |g, yv| g * (1.0 - yv * yv));
-                self.accumulate(grads, *a, || da);
-            }
-            Op::Square(a) => {
-                let x = self.value(*a);
-                let da = go.zip_map(x, |g, xv| 2.0 * g * xv);
-                self.accumulate(grads, *a, || da);
-            }
-            Op::Abs(a) => {
-                let x = self.value(*a);
-                let da = go.zip_map(x, |g, xv| g * sign0(xv));
-                self.accumulate(grads, *a, || da);
-            }
-            Op::Exp(a) => {
-                let y = self.value(NodeId(idx));
-                let da = go.zip_map(y, |g, yv| g * yv);
-                self.accumulate(grads, *a, || da);
-            }
+            Op::Sigmoid(a) => self.binary(*a, go, y, |g, yv| g * yv * (1.0 - yv)),
+            Op::Tanh(a) => self.binary(*a, go, y, |g, yv| g * (1.0 - yv * yv)),
+            Op::Square(a) => self.binary(*a, go, value(a), |g, xv| 2.0 * g * xv),
+            Op::Abs(a) => self.binary(*a, go, value(a), |g, xv| g * sign0(xv)),
+            Op::Exp(a) => self.binary(*a, go, y, |g, yv| g * yv),
             Op::Sum(a) => {
                 let s = go[(0, 0)];
-                let x = self.value(*a);
-                self.accumulate(grads, *a, || Matrix::filled(x.rows(), x.cols(), s));
+                self.accumulate(*a, |d, _| d.as_mut_slice().fill(s));
             }
             Op::Mean(a) => {
-                let x = self.value(*a);
-                let n = x.len().max(1) as f64;
+                let n = value(a).len().max(1) as f64;
                 let s = go[(0, 0)] / n;
-                self.accumulate(grads, *a, || Matrix::filled(x.rows(), x.cols(), s));
+                self.accumulate(*a, |d, _| d.as_mut_slice().fill(s));
             }
             Op::RowSum(a) => {
-                let x = self.value(*a);
-                let da = Matrix::from_fn(x.rows(), x.cols(), |i, _| go[(i, 0)]);
-                self.accumulate(grads, *a, || da);
+                self.accumulate(*a, |d, _| {
+                    for i in 0..d.rows() {
+                        d.row_mut(i).fill(go[(i, 0)]);
+                    }
+                });
             }
             Op::RowL2Normalize(a) => {
-                let x = self.value(*a);
-                let y = self.value(NodeId(idx));
-                let mut da = Matrix::zeros(x.rows(), x.cols());
-                for i in 0..x.rows() {
-                    let norm = cerl_math::norms::l2_norm(x.row(i));
-                    if norm <= NORM_EPS {
-                        continue; // zero output row: zero (sub)gradient
-                    }
-                    let yr = y.row(i);
-                    let gr = go.row(i);
-                    let dotyg: f64 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-                    let dr = da.row_mut(i);
-                    for ((d, &g), &yv) in dr.iter_mut().zip(gr).zip(yr) {
-                        *d = (g - yv * dotyg) / norm;
-                    }
-                }
-                self.accumulate(grads, *a, || da);
-            }
-            Op::ColL2Normalize(a) => {
-                let x = self.value(*a);
-                let y = self.value(NodeId(idx));
-                let (r, c) = x.shape();
-                let mut norms = vec![0.0; c];
-                for i in 0..r {
-                    for (j, &v) in x.row(i).iter().enumerate() {
-                        norms[j] += v * v;
-                    }
-                }
-                norms.iter_mut().for_each(|n| *n = n.sqrt());
-                // Per-column: d = (g - y (y·g)) / norm
-                let mut dots = vec![0.0; c];
-                for i in 0..r {
-                    for (j, (&yv, &gv)) in y.row(i).iter().zip(go.row(i)).enumerate() {
-                        dots[j] += yv * gv;
-                    }
-                }
-                let mut da = Matrix::zeros(r, c);
-                for i in 0..r {
-                    let dr = da.row_mut(i);
-                    for (j, d) in dr.iter_mut().enumerate() {
-                        if norms[j] > NORM_EPS {
-                            *d = (go[(i, j)] - y[(i, j)] * dots[j]) / norms[j];
+                let x = value(a);
+                self.accumulate(*a, |da, _| {
+                    da.fill_zero();
+                    for i in 0..x.rows() {
+                        let norm = cerl_math::norms::l2_norm(x.row(i));
+                        if norm <= NORM_EPS {
+                            continue; // zero output row: zero (sub)gradient
+                        }
+                        let yr = y.row(i);
+                        let gr = go.row(i);
+                        let dotyg: f64 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
+                        let dr = da.row_mut(i);
+                        for ((d, &g), &yv) in dr.iter_mut().zip(gr).zip(yr) {
+                            *d = (g - yv * dotyg) / norm;
                         }
                     }
-                }
-                self.accumulate(grads, *a, || da);
+                });
             }
-            Op::SelectRows(a, indices) => {
-                let x = self.value(*a);
-                let mut da = Matrix::zeros(x.rows(), x.cols());
-                for (k, &src) in indices.iter().enumerate() {
-                    let gr = go.row(k);
-                    let dr = da.row_mut(src);
-                    for (d, &g) in dr.iter_mut().zip(gr) {
-                        *d += g;
+            Op::ColL2Normalize(a) => {
+                let x = value(a);
+                // Per column: d = (g - y (y·g)) / norm, each sum taken
+                // down the rows.
+                self.accumulate(*a, |da, _| {
+                    for j in 0..x.cols() {
+                        let norm = col_norm(x, j);
+                        let dot = (0..x.rows()).fold(0.0, |s, i| s + y[(i, j)] * go[(i, j)]);
+                        for i in 0..x.rows() {
+                            da[(i, j)] = if norm > NORM_EPS {
+                                (go[(i, j)] - y[(i, j)] * dot) / norm
+                            } else {
+                                0.0
+                            };
+                        }
                     }
-                }
-                self.accumulate(grads, *a, || da);
+                });
+            }
+            Op::SelectRows(a, range) => {
+                let indices = &self.links[range.clone()];
+                self.accumulate(*a, |da, _| {
+                    da.fill_zero();
+                    for (k, &src) in indices.iter().enumerate() {
+                        for (d, &g) in da.row_mut(src).iter_mut().zip(go.row(k)) {
+                            *d += g;
+                        }
+                    }
+                });
             }
             Op::ConcatRows(a, b) => {
-                let na = self.value(*a).rows();
-                let idx_a: Vec<usize> = (0..na).collect();
-                let idx_b: Vec<usize> = (na..go.rows()).collect();
-                self.accumulate(grads, *a, || go.select_rows(&idx_a));
-                self.accumulate(grads, *b, || go.select_rows(&idx_b));
+                let top = value(a).len();
+                let (ga, gb) = go.as_slice().split_at(top);
+                self.accumulate(*a, |d, _| d.as_mut_slice().copy_from_slice(ga));
+                self.accumulate(*b, |d, _| d.as_mut_slice().copy_from_slice(gb));
             }
             Op::Custom { inputs, op } => {
-                let in_values: Vec<&Matrix> = inputs.iter().map(|&i| self.value(i)).collect();
-                let out = self.value(NodeId(idx));
-                let deltas = op.backward(&in_values, out, go);
+                let inputs = &self.links[inputs.clone()];
+                let in_values: Vec<&Matrix> = inputs.iter().map(|&i| &nodes[i].value).collect();
+                let deltas = op.backward(&in_values, y, go);
                 assert_eq!(
                     deltas.len(),
                     inputs.len(),
@@ -320,14 +343,15 @@ impl Graph {
                     deltas.len(),
                     inputs.len()
                 );
-                for (&inp, d) in inputs.iter().zip(deltas) {
+                for (&inp, delta) in inputs.iter().zip(deltas) {
                     assert_eq!(
-                        d.shape(),
-                        self.value(inp).shape(),
+                        delta.shape(),
+                        nodes[inp].value.shape(),
                         "custom op '{}': gradient shape mismatch",
                         op.name()
                     );
-                    self.accumulate(grads, inp, || d);
+                    let src = delta.as_slice();
+                    self.accumulate(NodeId(inp), |d, _| d.as_mut_slice().copy_from_slice(src));
                 }
             }
         }
@@ -426,7 +450,7 @@ mod tests {
         let wp = g.param(&store, w);
         let sq = g.square(wp);
         let loss = g.sum(sq); // grad = 2w = [6, 8], norm 10
-        let mut grads = g.backward(loss);
+        let grads = g.backward(loss);
         assert!((grads.global_norm() - 10.0).abs() < 1e-12);
         let s = grads.clip_global_norm(5.0);
         assert!((s - 0.5).abs() < 1e-12);
@@ -449,6 +473,13 @@ mod tests {
     /// Masked two-layer regression whose data operand is a plain or a
     /// gradient-tracked input; returns its params, tape, data leaf and loss.
     fn two_layer(tracked: bool) -> (Vec<ParamId>, Graph, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let (params, x, loss) = two_layer_on(&mut g, tracked);
+        (params, g, x, loss)
+    }
+
+    /// [`two_layer`] on a caller's tape.
+    fn two_layer_on(g: &mut Graph, tracked: bool) -> (Vec<ParamId>, NodeId, NodeId) {
         let mut store = ParamStore::new();
         let w1 = store.add(
             "w1",
@@ -458,7 +489,6 @@ mod tests {
         let w2 = store.add("w2", Matrix::from_fn(4, 1, |i, _| (i as f64 * 1.3).cos()));
         let x = Matrix::from_fn(6, 5, |i, j| ((i * 5 + j) as f64 * 0.37).cos());
         let mask = Matrix::from_fn(6, 1, |i, _| (i % 2) as f64);
-        let mut g = Graph::new();
         let xin = if tracked {
             g.input_with_grad(x)
         } else {
@@ -478,24 +508,24 @@ mod tests {
         let d = g.sub(ym, m);
         let sq = g.square(d);
         let loss = g.mean(sq);
-        (vec![w1, b1, w2], g, xin, loss)
+        (vec![w1, b1, w2], xin, loss)
     }
 
     #[test]
     fn plain_input_gets_no_gradient() {
-        let (_, g, x, loss) = two_layer(false);
+        let (_, mut g, x, loss) = two_layer(false);
         let grads = g.backward(loss);
         assert!(grads.node_grad(x).is_none());
-        let (_, g, x, loss) = two_layer(true);
+        let (_, mut g, x, loss) = two_layer(true);
         let grads = g.backward(loss);
         assert_eq!(grads.node_grad(x).map(Matrix::shape), Some((6, 5)));
     }
 
     #[test]
     fn skipping_input_gradients_leaves_param_gradients_bitwise_unchanged() {
-        let (params, g, _, loss) = two_layer(false);
+        let (params, mut g, _, loss) = two_layer(false);
         let skipped = g.backward(loss);
-        let (_, g, _, loss) = two_layer(true);
+        let (_, mut g, _, loss) = two_layer(true);
         let full = g.backward(loss);
         for p in params {
             let (a, b) = (skipped.param_grad(p).unwrap(), full.param_grad(p).unwrap());
@@ -505,5 +535,57 @@ mod tests {
                 .zip(b.as_slice())
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_reset_tape_reproduces_a_fresh_one_bitwise() {
+        let (params, mut fresh, x, loss) = two_layer(true);
+        let want: Vec<Vec<u64>> = {
+            let grads = fresh.backward(loss);
+            let mut all: Vec<Vec<u64>> = params
+                .iter()
+                .map(|&p| bits(grads.param_grad(p).unwrap()))
+                .collect();
+            all.push(bits(grads.node_grad(x).unwrap()));
+            all
+        };
+        let mut g = Graph::new();
+        for round in 0..3 {
+            // Alternate with an unrelated tape so the pool's buffers change
+            // hands before the rebuild.
+            g.reset();
+            let w = g.input_fn(9, 2, |i, j| (i * 2 + j) as f64);
+            let s = g.square(w);
+            g.sum(s);
+            g.reset();
+            let (params, x, loss) = two_layer_on(&mut g, true);
+            assert_eq!(g.len(), fresh.len());
+            let grads = g.backward(loss);
+            let mut got: Vec<Vec<u64>> = params
+                .iter()
+                .map(|&p| bits(grads.param_grad(p).unwrap()))
+                .collect();
+            got.push(bits(grads.node_grad(x).unwrap()));
+            assert_eq!(got, want, "round {round}");
+            assert!(grads.param_grad(ParamId(9)).is_none());
+        }
+    }
+
+    #[test]
+    fn backward_twice_gives_the_same_gradients() {
+        let (params, mut g, _, loss) = two_layer(false);
+        let first: Vec<Vec<u64>> = params
+            .iter()
+            .map(|&p| bits(g.backward(loss).param_grad(p).unwrap()))
+            .collect();
+        let again: Vec<Vec<u64>> = params
+            .iter()
+            .map(|&p| bits(g.backward(loss).param_grad(p).unwrap()))
+            .collect();
+        assert_eq!(first, again);
     }
 }

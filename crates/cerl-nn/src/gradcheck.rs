@@ -275,7 +275,7 @@ mod tests {
             w,
             move |s, g| {
                 let wp = g.param(s, w);
-                let sel = g.select_rows(wp, &[0, 2, 2, 4]);
+                let sel = g.select_rows(wp, [0, 2, 2, 4]);
                 let cat = g.concat_rows(sel, wp);
                 let rs = g.row_sum(cat);
                 let sq = g.square(rs);

@@ -78,8 +78,10 @@ impl Optimizer for Adam {
                 .entry(pid.index())
                 .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
             v.scale_inplace(self.beta2);
-            let g2 = g.map(|x| x * x);
-            v.axpy(1.0 - self.beta2, &g2);
+            let s = 1.0 - self.beta2;
+            for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *vi += s * (gi * gi);
+            }
 
             let w = store.value_mut(pid);
             let lr = self.lr;
@@ -125,7 +127,7 @@ mod tests {
             let t = g.input(target.clone());
             let loss = crate::compose::mse(&mut g, wp, t);
             let grads = g.backward(loss);
-            opt.step(&mut store, &grads, &[w]);
+            opt.step(&mut store, grads, &[w]);
         }
         assert!(
             store.value(w).approx_eq(&target, 1e-3),
@@ -151,7 +153,7 @@ mod tests {
             let weighted = g.mul(sq, scalew);
             let loss = g.sum(weighted);
             let grads = g.backward(loss);
-            opt.step(&mut store, &grads, &[w]);
+            opt.step(&mut store, grads, &[w]);
         }
         let v = store.value(w);
         assert!((v[(0, 0)] - 1.0).abs() < 1e-2, "{v:?}");
@@ -170,7 +172,7 @@ mod tests {
         let loss = g.sum(z);
         let grads = g.backward(loss);
         let before = store.value(w)[(0, 0)];
-        opt.step(&mut store, &grads, &[w]);
+        opt.step(&mut store, grads, &[w]);
         let after = store.value(w)[(0, 0)];
         assert!(after < before, "decay should shrink: {before} -> {after}");
     }
@@ -185,7 +187,7 @@ mod tests {
         let sq = g.square(wp);
         let loss = g.sum(sq);
         let grads = g.backward(loss);
-        opt.step(&mut store, &grads, &[w]);
+        opt.step(&mut store, grads, &[w]);
         assert_eq!(opt.t, 1);
         opt.reset();
         assert_eq!(opt.t, 0);

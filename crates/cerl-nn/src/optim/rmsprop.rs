@@ -87,7 +87,7 @@ mod tests {
             let t = g.input(target.clone());
             let loss = mse(&mut g, wp, t);
             let grads = g.backward(loss);
-            opt.step(&mut store, &grads, &[w]);
+            opt.step(&mut store, grads, &[w]);
         }
         assert!(
             store.value(w).approx_eq(&target, 1e-2),
@@ -112,7 +112,7 @@ mod tests {
             let weighted = g.mul(sq, scalew);
             let loss = g.sum(weighted);
             let grads = g.backward(loss);
-            opt.step(&mut store, &grads, &[w]);
+            opt.step(&mut store, grads, &[w]);
         }
         let v = store.value(w);
         assert!((v[(0, 0)] - 1.0).abs() < 0.05, "{v:?}");

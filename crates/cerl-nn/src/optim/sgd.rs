@@ -80,7 +80,7 @@ mod tests {
             let target = g.input(Matrix::filled(1, 1, 3.0));
             let loss = crate::compose::mse(&mut g, wp, target);
             let grads = g.backward(loss);
-            opt.step(&mut store, &grads, &[w]);
+            opt.step(&mut store, grads, &[w]);
         }
         store.value(w)[(0, 0)]
     }
@@ -110,7 +110,7 @@ mod tests {
         let loss = g.sum(sq);
         let grads = g.backward(loss);
         let mut opt = Sgd::new(0.1);
-        opt.step(&mut store, &grads, &[w, u]);
+        opt.step(&mut store, grads, &[w, u]);
         assert_eq!(store.value(u)[(0, 0)], 5.0);
         assert!(store.value(w)[(0, 0)] < 7.0);
     }

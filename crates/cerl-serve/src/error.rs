@@ -145,7 +145,8 @@ impl ServeError {
         match self {
             ServeError::UnknownDomain { .. } | ServeError::DomainTagMismatch { .. } => true,
             ServeError::Engine(CerlError::DimensionMismatch { .. })
-            | ServeError::Engine(CerlError::EmptyInput { .. }) => true,
+            | ServeError::Engine(CerlError::EmptyInput { .. })
+            | ServeError::Engine(CerlError::NonFiniteInput { .. }) => true,
             ServeError::UnknownShard { .. }
             | ServeError::QueueFull { .. }
             | ServeError::SchedulerShutdown

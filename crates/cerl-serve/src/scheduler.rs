@@ -672,10 +672,10 @@ impl BatchScheduler {
     ///
     /// Fails fast with [`ServeError::QueueFull`] when the bounded queue
     /// is at capacity, and pre-screens the covariate width against the
-    /// current engine so an obviously malformed request never poisons a
-    /// batch slot. (The screen is best-effort — the authoritative check
-    /// happens inside the forward pass against the batch's pinned
-    /// version.)
+    /// current engine, and every covariate for a NaN or ±∞, so an
+    /// obviously malformed request never poisons a batch slot. (The width
+    /// screen is best-effort — the authoritative check happens inside the
+    /// forward pass against the batch's pinned version.)
     pub fn submit(&self, x: Matrix) -> Result<ResponseHandle, ServeError> {
         self.submit_traced(x, None)
     }
@@ -707,6 +707,13 @@ impl BatchScheduler {
                 self.metrics.record_rejection(&e);
                 return Err(e);
             }
+        }
+        // A batch fails as a whole on one member's error, so a row the
+        // engine would refuse is refused here, before it can join one.
+        if let Some(row) = (0..x.rows()).find(|&i| x.row(i).iter().any(|v| !v.is_finite())) {
+            let e = ServeError::Engine(CerlError::NonFiniteInput { field: "x", row });
+            self.metrics.record_rejection(&e);
+            return Err(e);
         }
         let slot = ReplySlot::new();
         let pending = PendingRequest {

@@ -59,3 +59,112 @@ pub fn with_param_float(container: &[u8], name: &str, value: f64) -> Vec<u8> {
     out[at..at + 8].copy_from_slice(&value.to_le_bytes());
     out
 }
+
+/// Float arrays of an f64 payload section: the count (u32), then each
+/// array's length (u64) and its floats.
+fn payload_arrays(payload: &[u8]) -> Vec<Vec<f64>> {
+    let count = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+    let mut at = 4;
+    (0..count)
+        .map(|_| {
+            let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+            at += 8;
+            let floats = (0..len)
+                .map(|i| {
+                    f64::from_le_bytes(payload[at + 8 * i..at + 8 * i + 8].try_into().unwrap())
+                })
+                .collect();
+            at += 8 * len;
+            floats
+        })
+        .collect()
+}
+
+/// The f64 payload section holding `arrays`.
+fn payload_section(arrays: &[Vec<f64>]) -> Vec<u8> {
+    let mut out = (arrays.len() as u32).to_le_bytes().to_vec();
+    for array in arrays {
+        out.extend_from_slice(&(array.len() as u64).to_le_bytes());
+        array
+            .iter()
+            .for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+    }
+    out
+}
+
+/// Move every non-empty all-float array under `v` into `arrays`, leaving
+/// a `{"$floats": i}` placeholder: the snapshot writer's layout.
+fn hoist(v: &mut serde_json::Value, arrays: &mut Vec<Vec<f64>>) {
+    use serde_json::Value;
+    match v {
+        Value::Array(items) if !items.is_empty() => {
+            let floats: Option<Vec<f64>> = items
+                .iter()
+                .map(|item| match item {
+                    Value::Float(f) => Some(*f),
+                    _ => None,
+                })
+                .collect();
+            match floats {
+                Some(floats) => {
+                    *v = Value::Object(vec![("$floats".into(), Value::UInt(arrays.len() as u64))]);
+                    arrays.push(floats);
+                }
+                None => items.iter_mut().for_each(|item| hoist(item, arrays)),
+            }
+        }
+        Value::Object(fields) => fields.iter_mut().for_each(|(_, v)| hoist(v, arrays)),
+        _ => {}
+    }
+}
+
+/// The f64 container of a snapshot document written with every float
+/// inline, laid out as the writer lays it out: the float arrays under
+/// `model` and `memory` hoisted into the payload section.
+pub fn hoisted_container(doc: &str) -> Vec<u8> {
+    let mut value = serde_json::parse(doc).expect("a JSON document");
+    let mut arrays = Vec::new();
+    if let serde_json::Value::Object(fields) = &mut value {
+        for (key, v) in fields.iter_mut() {
+            if key == "model" || key == "memory" {
+                hoist(v, &mut arrays);
+            }
+        }
+    }
+    let meta = serde_json::to_string(&value).expect("serializes");
+    wrap(&meta, &payload_section(&arrays))
+}
+
+/// `container` (f64 payload) with its first payload array written back
+/// inline into the meta document, in place of its placeholder, and the
+/// other placeholders renumbered: the same snapshot in an encoding the
+/// writer never produces.
+pub fn with_first_array_inline(container: &[u8]) -> Vec<u8> {
+    use serde_json::Value;
+    fn renumber(v: &mut Value, first: &mut Option<Vec<f64>>) {
+        match v {
+            Value::Object(fields) => match fields.as_mut_slice() {
+                [(key, Value::UInt(k))] if key == "$floats" => match k {
+                    0 => {
+                        let floats = first.take().expect("one placeholder 0");
+                        *v = Value::Array(floats.into_iter().map(Value::Float).collect());
+                    }
+                    k => *k -= 1,
+                },
+                fields => fields.iter_mut().for_each(|(_, v)| renumber(v, first)),
+            },
+            Value::Array(items) => items.iter_mut().for_each(|item| renumber(item, first)),
+            _ => {}
+        }
+    }
+    assert_eq!(container[12], 0, "an f64-payload container");
+    let meta_len = u64::from_le_bytes(container[24..32].try_into().unwrap()) as usize;
+    let (meta, payload) = container[HEADER_LEN..].split_at(meta_len);
+    let mut arrays = payload_arrays(payload);
+    let mut first = Some(arrays.remove(0));
+    let mut value = serde_json::parse(std::str::from_utf8(meta).unwrap()).unwrap();
+    renumber(&mut value, &mut first);
+    assert!(first.is_none(), "placeholder 0 was in the meta document");
+    let meta = serde_json::to_string(&value).expect("serializes");
+    wrap(&meta, &payload_section(&arrays))
+}

@@ -467,9 +467,10 @@ fn warm_swap_refuses_a_snapshot_that_answers_nan() {
 /// No install path ships a model that answers NaN, and no training path
 /// builds one. A domain with one NaN outcome is refused at the stage entry
 /// with a typed error by `observe` and by `observe_and_swap`, leaving the
-/// learner and the served version untouched. A model whose weights hold a
-/// NaN (doctored container bytes) still parses and restores; the warm
-/// probe refuses it through `publish` and `swap_snapshot_bytes_warm`.
+/// learner and the served version untouched. A model whose finite weights
+/// answer non-finite ITEs (doctored container bytes) still parses and
+/// restores; the warm probe refuses it through `publish` and
+/// `swap_snapshot_bytes_warm`.
 #[test]
 fn no_publish_path_ships_a_nan_model() {
     let stream = quick_stream(2, 23);
@@ -509,11 +510,21 @@ fn no_publish_path_ships_a_nan_model() {
     assert_eq!(serving.observe_and_swap(&poisoned, val).unwrap_err(), nan_y);
     assert_nothing_published("observe_and_swap");
 
-    // A NaN in `g` would be absorbed: the cosine layer maps a non-finite
-    // row norm to a zero row. The treated head's output weight is not.
-    let nan_weight = with_param_float(&bytes, "h.h1.1.w", f64::NAN);
-    let nan_model = CerlEngine::load_bytes(&nan_weight).expect("still a valid container");
-    assert!(nan_model.predict_ite(x).unwrap().iter().all(|v| v.is_nan()));
+    // A NaN weight never becomes an engine (see
+    // `a_nan_weight_is_refused_on_every_path`). The warm probe still
+    // refuses finite weights that answer non-finite ITEs: outcome-head
+    // biases at ±f64::MAX overflow the rescaled difference.
+    let overflow = with_param_float(
+        &with_param_float(&bytes, "h.h1.1.b", f64::MAX),
+        "h.h0.1.b",
+        -f64::MAX,
+    );
+    let nan_model = CerlEngine::load_bytes(&overflow).expect("finite weights restore");
+    assert!(nan_model
+        .predict_ite(x)
+        .unwrap()
+        .iter()
+        .all(|v| !v.is_finite()));
     let assert_refused = |outcome: Result<u64, CerlError>, path: &str| {
         match outcome {
             Err(CerlError::Snapshot(SnapshotError::Incompatible(reason))) => {
@@ -525,9 +536,50 @@ fn no_publish_path_ships_a_nan_model() {
     };
     assert_refused(serving.publish(nan_model), "publish");
     assert_refused(
-        serving.swap_snapshot_bytes_warm(&nan_weight),
+        serving.swap_snapshot_bytes_warm(&overflow),
         "swap_snapshot_bytes_warm",
     );
+}
+
+/// A NaN weight in the representation network used to be absorbed by the
+/// cosine layer (a NaN row norm maps the row to zeros), so the engine
+/// answered a finite, constant ITE and passed the warm probe. Restore
+/// refuses it now, naming the parameter, so neither a load nor a warm
+/// swap can ship it.
+#[test]
+fn a_nan_weight_is_refused_on_every_path() {
+    let stream = quick_stream(1, 25);
+    let mut engine = CerlEngineBuilder::new(quick_cfg())
+        .seed(25)
+        .build()
+        .unwrap();
+    engine
+        .observe(&stream.domain(0).train, &stream.domain(0).val)
+        .unwrap();
+    let serving = ServingEngine::new(engine.clone());
+    let x = &stream.domain(0).test.x;
+    let before = serving.predict_ite(x).unwrap();
+    let bytes = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
+    let want = CerlError::NonFiniteParameter {
+        param: "g.h0.w".to_string(),
+    };
+    for value in [f64::NAN, f64::INFINITY] {
+        let poisoned = with_param_float(&bytes, "g.h0.w", value);
+        assert_eq!(CerlEngine::load_bytes(&poisoned).err(), Some(want.clone()));
+        assert_eq!(
+            CerlEngine::load_bytes(&poisoned)
+                .and_then(|e| serving.publish(e))
+                .unwrap_err(),
+            want,
+            "publish"
+        );
+        assert_eq!(
+            serving.swap_snapshot_bytes_warm(&poisoned).unwrap_err(),
+            want
+        );
+        assert_eq!(serving.version(), 1, "nothing was published");
+        assert_eq!(serving.predict_ite(x).unwrap(), before);
+    }
 }
 
 /// Every learner refuses a stage whose train or val split holds a NaN or

@@ -56,9 +56,9 @@ fn snapshot_fixture() -> &'static (CerlEngine, CerlEngine, usize) {
 type Reference = Box<dyn Fn(&Matrix) -> (Matrix, Vec<f64>, Vec<f64>)>;
 
 /// A random trained-looking model, served from its compiled plan by an
-/// engine restored from a hand-built snapshot document (every float
-/// inline in the meta document, an empty payload section), plus the tape
-/// forward of the same weights.
+/// engine restored from a hand-built snapshot document (written with its
+/// floats inline, then hoisted into the payload section as the writer
+/// does), plus the tape forward of the same weights.
 fn plan_and_tape(
     seed: u64,
     cosine: bool,
@@ -111,9 +111,8 @@ fn plan_and_tape(
         json(serde_json::to_string(&x_std)),
         json(serde_json::to_string(&y_scale)),
     );
-    let no_arrays = 0u32.to_le_bytes();
-    let engine =
-        CerlEngine::load_bytes(&common::wrap(&doc, &no_arrays)).expect("hand-built snapshot loads");
+    let engine = CerlEngine::load_bytes(&common::hoisted_container(&doc))
+        .expect("hand-built snapshot loads");
     let reference = move |x: &Matrix| {
         let mut g = Graph::new();
         let xin = g.input(x_std.try_transform(x).expect("right width"));
@@ -531,6 +530,17 @@ fn mutated_snapshot_containers_decode_or_fail_typed_never_panic() {
             cases += 1;
         }
     }
+    // The same snapshot with one float array left inline: a second
+    // encoding of one model, refused.
+    let bin = engine.save_bytes_binary(SnapshotPayload::F64).unwrap();
+    let inline = common::with_first_array_inline(&bin);
+    assert!(
+        matches!(
+            ModelSnapshot::from_bytes(&inline),
+            Err(CerlError::Snapshot(SnapshotError::Malformed(_)))
+        ),
+        "an inline float array must not decode"
+    );
     assert!(cases > 2 * (44 * 8 + SNAPSHOT_BIT_FLIPS), "{cases} cases");
 }
 

@@ -824,3 +824,76 @@ fn rebalance_under_socket_load_with_zero_serve_faults() {
     assert_eq!(snap.responses_ok, snap.requests);
     server.shutdown().unwrap();
 }
+
+/// A request holding a NaN or +∞ covariate is refused alone: the engine,
+/// the scheduler and the socket front-end each answer it with a typed
+/// error, and the requests pipelined around it on one connection come
+/// back bitwise intact.
+#[test]
+fn non_finite_covariates_are_refused_alone() {
+    let stream = quick_stream(1);
+    let engine = stage1_engine(&stream);
+    let serving = Arc::new(ServingEngine::new(engine.clone()));
+    let scheduler = Arc::new(BatchScheduler::new(
+        Arc::clone(&serving),
+        BatchConfig::default(),
+    ));
+    let base = stream.domain(0).test.x.slice_rows(0, 6);
+    let good = serving.predict_ite(&base).unwrap();
+    let poisoned = |row: usize, v: f64| {
+        let mut x = base.clone();
+        x[(row, 1)] = v;
+        x
+    };
+    let cases = [(2, f64::NAN), (4, f64::INFINITY)];
+    for &(row, v) in &cases {
+        let want = CerlError::NonFiniteInput { field: "x", row };
+        let x = poisoned(row, v);
+        assert_eq!(engine.predict_ite(&x).unwrap_err(), want);
+        assert_eq!(serving.predict_ite(&x).unwrap_err(), want);
+        match scheduler.submit(x) {
+            Err(e @ ServeError::Engine(_)) => {
+                assert_eq!(e, ServeError::Engine(want));
+                assert!(e.is_client_fault());
+            }
+            other => panic!("expected a typed refusal, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Scheduler(Arc::clone(&scheduler)),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = connect_retry(server.local_addr());
+    let tags = vec![0; base.rows()];
+    let mut good_ids = vec![client.send_request(&tags, &base, None).unwrap()];
+    let mut hostile_ids = Vec::new();
+    for &(row, v) in &cases {
+        hostile_ids.push(client.send_request(&tags, &poisoned(row, v), None).unwrap());
+        good_ids.push(client.send_request(&tags, &base, None).unwrap());
+    }
+    let (mut answered, mut refused) = (0, 0);
+    for _ in 0..good_ids.len() + hostile_ids.len() {
+        match client.recv_response().unwrap() {
+            WireResponse::Ite { request_id, ite } => {
+                assert!(good_ids.contains(&request_id), "request {request_id}");
+                assert_bitwise(&ite, &good, "a neighbour of a hostile request");
+                answered += 1;
+            }
+            WireResponse::Error {
+                request_id,
+                status,
+                detail,
+            } => {
+                assert!(hostile_ids.contains(&request_id), "{detail}");
+                assert_eq!(status, wire::Status::MalformedRequest, "{detail}");
+                assert!(detail.contains("non-finite"), "{detail}");
+                refused += 1;
+            }
+        }
+    }
+    assert_eq!((answered, refused), (3, 2));
+    server.shutdown().unwrap();
+}
