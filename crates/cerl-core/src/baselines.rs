@@ -52,7 +52,7 @@ fn train_regressor(
             let pred = net.forward(g, store, xin);
             mse(g, pred, yin)
         },
-        |store| {
+        |_, store| {
             if xv.rows() == 0 {
                 return Ok(0.0);
             }

@@ -132,7 +132,7 @@ impl CfrModel {
                 }
                 weighted_sum(g, &terms)
             },
-            |store| {
+            |_, store| {
                 let plan = InferencePlan::<f64>::network(store, repr, heads);
                 factual_mse_scaled(&plan, &xv, &yv, &val.t)
             },

@@ -295,6 +295,7 @@ impl Cerl {
         if use_transform {
             params.extend(phi.params());
         }
+        let mem_rows: Vec<usize> = (0..mem.as_ref().map_or(0, Memory::len)).collect();
         let cfg = &self.cfg;
         let (store, repr, heads) = self.model.parts_mut();
         let objective = ContinualObjective {
@@ -308,6 +309,7 @@ impl Cerl {
             r_old: &r_old_full,
             mem: mem.as_ref(),
             mem_y: &mem_y_scaled,
+            mem_rows: &mem_rows,
         };
         let report = run_stage(
             store,
@@ -316,7 +318,7 @@ impl Cerl {
             train.n(),
             &mut rng,
             |g, store, batch, rng| objective.step_loss(g, store, batch, rng),
-            |store| objective.val_loss(store, &xv, &yv, &val.t),
+            |g, store| objective.val_loss(g, store, &xv, &yv, &val.t),
         )?;
 
         // Transform the stored memory into the new representation space.
@@ -380,6 +382,8 @@ struct ContinualObjective<'a> {
     r_old: &'a Matrix,
     mem: Option<&'a Memory>,
     mem_y: &'a [f64],
+    /// `0..mem.len()`: every memory row, for validation's φ pass.
+    mem_rows: &'a [usize],
 }
 
 impl ContinualObjective<'_> {
@@ -441,9 +445,12 @@ impl ContinualObjective<'_> {
 
     /// Early-stopping criterion: new-domain factual MSE plus the memory
     /// factual MSE through φ (both in scaled-outcome space), so the kept
-    /// parameters balance plasticity and retention.
+    /// parameters balance plasticity and retention. φ runs on the stage's
+    /// tape `g`, reset first, so no epoch copies the memory into a tape of
+    /// its own.
     fn val_loss(
         &self,
+        g: &mut Graph,
         store: &ParamStore,
         xv_std: &Matrix,
         yv_scaled: &[f64],
@@ -452,10 +459,18 @@ impl ContinualObjective<'_> {
         let plan = InferencePlan::<f64>::network(store, self.repr, self.heads);
         let mut loss = factual_mse_scaled(&plan, xv_std, yv_scaled, tv)?;
         if let Some(m) = self.mem.filter(|m| !m.is_empty()) {
-            let (y0, y1) = plan.heads(&self.phi.apply(store, &m.r));
+            let (y0, y1) = plan.heads(self.phi_memory(g, store, m));
             loss += factual_mse(&y0, &y1, &m.t, self.mem_y);
         }
         Ok(loss)
+    }
+
+    /// `φ(m.r)` on the tape `g`, reset first.
+    fn phi_memory<'g>(&self, g: &'g mut Graph, store: &ParamStore, m: &Memory) -> &'g Matrix {
+        g.reset();
+        let r = g.input_rows(&m.r, self.mem_rows);
+        let mapped = self.phi.forward(g, store, r);
+        g.value(mapped)
     }
 }
 
@@ -464,6 +479,8 @@ mod tests {
     use super::*;
     use crate::metrics::EffectMetrics;
     use cerl_data::{DomainStream, SyntheticConfig, SyntheticGenerator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn quick_stream(n_domains: usize) -> DomainStream {
         let gen = SyntheticGenerator::new(
@@ -568,5 +585,70 @@ mod tests {
         assert_eq!(cerl.stage(), 1);
         let r = cerl.try_embed(&stream.domain(0).test.x).unwrap();
         assert_eq!(r.rows(), stream.domain(0).test.n());
+    }
+
+    /// Validation on the stage's tape gives the bits validation on a
+    /// fresh tape gives — φ(memory) entry for entry, and the loss —
+    /// whether the tape comes in holding a training step's nodes and
+    /// gradients or a previous validation's.
+    #[test]
+    fn stage_tape_validation_matches_a_fresh_graph() {
+        let stream = quick_stream(2);
+        let d_in = stream.domain(0).train.dim();
+        let mut cfg = quick_cfg();
+        cfg.train.epochs = 3;
+        let mut cerl = Cerl::try_new(d_in, cfg.clone(), 9).unwrap();
+        cerl.try_observe(&stream.domain(0).train, &stream.domain(0).val)
+            .unwrap();
+        let mem = cerl.memory().expect("stage 1 keeps a memory").clone();
+        let mut model = cerl.model.clone();
+        let mut rng = StdRng::seed_from_u64(3);
+        let phi = FeatureTransform::new(model.store_mut(), &mut rng, &cfg.net, "phi1");
+        let (train, val) = (&stream.domain(1).train, &stream.domain(1).val);
+        let x_std = model.x_std().unwrap().clone();
+        let y_scale = *model.y_scale().unwrap();
+        let xs = x_std.try_transform(&train.x).unwrap();
+        let ys = Matrix::col_vector(&y_scale.transform(&train.y));
+        let xv = x_std.try_transform(&val.x).unwrap();
+        let yv = y_scale.transform(&val.y);
+        let mem_y = y_scale.transform(&mem.y);
+        let mem_rows: Vec<usize> = (0..mem.len()).collect();
+        let r_old = InferencePlan::<f64>::compile(&model)
+            .unwrap()
+            .embed(&train.x)
+            .unwrap();
+        let (store, repr, heads) = model.parts_mut();
+        let store = &*store;
+        let objective = ContinualObjective {
+            cfg: &cfg,
+            repr,
+            heads,
+            phi: &phi,
+            xs: &xs,
+            ys: &ys,
+            t: &train.t,
+            r_old: &r_old,
+            mem: Some(&mem),
+            mem_y: &mem_y,
+            mem_rows: &mem_rows,
+        };
+
+        let plan = InferencePlan::<f64>::network(store, repr, heads);
+        let phi_mem = phi.apply(store, &mem.r);
+        let (y0, y1) = plan.heads(&phi_mem);
+        let fresh = factual_mse_scaled(&plan, &xv, &yv, &val.t).unwrap()
+            + factual_mse(&y0, &y1, &mem.t, &mem_y);
+
+        let mut g = Graph::new();
+        let batch: Vec<usize> = (0..32).collect();
+        let loss = objective.step_loss(&mut g, store, &batch, &mut rng);
+        g.backward(loss);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for pass in 0..2 {
+            let mapped = bits(objective.phi_memory(&mut g, store, &mem));
+            assert_eq!(mapped, bits(&phi_mem), "pass {pass}: φ(memory)");
+            let on_tape = objective.val_loss(&mut g, store, &xv, &yv, &val.t).unwrap();
+            assert_eq!(on_tape.to_bits(), fresh.to_bits(), "pass {pass}");
+        }
     }
 }

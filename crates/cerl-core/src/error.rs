@@ -51,11 +51,13 @@ pub enum CerlError {
         what: &'static str,
     },
     /// An input holds a NaN or infinite value: a training or validation
-    /// split (the stage is refused before any parameter moves) or a
-    /// predict request's covariates (refused before any row is answered).
+    /// split (the stage is refused before any parameter moves), a
+    /// predict request's covariates (refused before any row is answered)
+    /// or a snapshot's replay memory (refused on restore).
     NonFiniteInput {
         /// Which split and field (`train.x`, `train.y`, `val.x`, `val.y`),
-        /// or `x` for a request's covariates.
+        /// `x` for a request's covariates, or `memory.r`/`memory.y` for a
+        /// snapshot's stored representations and outcomes.
         field: &'static str,
         /// First unit (row) holding a non-finite value.
         row: usize,

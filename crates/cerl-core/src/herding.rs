@@ -5,6 +5,22 @@
 //! needs far fewer samples than random subsampling for the same
 //! approximation quality (paper §III-A.2). The paper runs it separately per
 //! treatment group so the memory stays balanced.
+//!
+//! # Per-lane order
+//!
+//! Each greedy step scores every candidate `i` by
+//! `Σ_j (target_j − (s_j + x_ij)/(k+1))²`. The candidates are independent
+//! lanes: the pool is laid out column-major once per call, and a register
+//! block of candidates is scored side by side while each candidate's sum
+//! keeps one order — it starts at `0.0` and adds its terms in coordinate
+//! order `j = 0, 1, …`, every term with its own division by `k+1`. The scan
+//! then visits candidates in index order and keeps the first of equal
+//! scores (a later one must score strictly lower to replace it). Summing
+//! one candidate's coordinates in another order (pairwise, or with several
+//! accumulators, as vectorising along `j` would need), or multiplying by
+//! `1/(k+1)` instead of dividing, would round differently, and a changed
+//! last bit can change which exemplar wins a near-tie and with it the
+//! memory every later stage trains on.
 
 use cerl_math::Matrix;
 use rand::seq::SliceRandom;
@@ -16,34 +32,29 @@ use rand::Rng;
 /// If `m ≥ reprs.rows()`, all indices are returned (in herding order).
 pub fn herding_select(reprs: &Matrix, m: usize) -> Vec<usize> {
     let n = reprs.rows();
-    let d = reprs.cols();
     let m = m.min(n);
     if m == 0 || n == 0 {
         return Vec::new();
     }
     let target = reprs.col_means();
+    // The pool column-major: column j of `reprs` is row j of `pool`.
+    let pool = reprs.transpose();
     let mut selected = Vec::with_capacity(m);
     let mut taken = vec![false; n];
-    let mut running_sum = vec![0.0; d];
+    let mut running_sum = vec![0.0; reprs.cols()];
+    let mut dist = vec![0.0; n];
 
     for k in 0..m {
         // Choose x minimizing ‖target − (running_sum + x)/(k+1)‖².
+        distances(&pool, &target, &running_sum, k as f64 + 1.0, &mut dist);
         let mut best: Option<(usize, f64)> = None;
-        #[allow(clippy::needless_range_loop)] // `taken` and `reprs` share the index
-        for i in 0..n {
+        for (i, &d) in dist.iter().enumerate() {
             if taken[i] {
                 continue;
             }
-            let row = reprs.row(i);
-            let mut dist = 0.0;
-            for j in 0..d {
-                let cand = (running_sum[j] + row[j]) / (k as f64 + 1.0);
-                let diff = target[j] - cand;
-                dist += diff * diff;
-            }
             match best {
-                Some((_, bd)) if dist >= bd => {}
-                _ => best = Some((i, dist)),
+                Some((_, bd)) if d >= bd => {}
+                _ => best = Some((i, d)),
             }
         }
         // `m <= n` and each pass marks exactly one candidate, so a free
@@ -59,6 +70,51 @@ pub fn herding_select(reprs: &Matrix, m: usize) -> Vec<usize> {
         selected.push(idx);
     }
     selected
+}
+
+/// Candidates per register block of [`distances`].
+const BLOCK: usize = 16;
+
+/// `dist[i] = Σ_j (target_j − (sum_j + x_ij)/count)²` for every candidate
+/// `i`, with `pool` the candidates column-major (`pool[(j, i)] = x_ij`).
+/// Candidates are independent lanes; each one's sum starts at `0.0` and
+/// adds its terms in coordinate order `j = 0, 1, …` (see the
+/// [module docs](self) on per-lane order).
+fn distances(pool: &Matrix, target: &[f64], sum: &[f64], count: f64, dist: &mut [f64]) {
+    let n = dist.len();
+    let mut i0 = 0;
+    while i0 + BLOCK <= n {
+        distance_block::<BLOCK>(pool, target, sum, count, i0, dist);
+        i0 += BLOCK;
+    }
+    while i0 < n {
+        distance_block::<1>(pool, target, sum, count, i0, dist);
+        i0 += 1;
+    }
+}
+
+/// [`distances`] for candidates `i0..i0 + B`, accumulated in registers.
+#[inline(always)]
+fn distance_block<const B: usize>(
+    pool: &Matrix,
+    target: &[f64],
+    sum: &[f64],
+    count: f64,
+    i0: usize,
+    dist: &mut [f64],
+) {
+    let mut acc = [0.0; B];
+    for ((&t, &s), col) in target
+        .iter()
+        .zip(sum)
+        .zip(pool.as_slice().chunks_exact(dist.len()))
+    {
+        for (a, &x) in acc.iter_mut().zip(&col[i0..i0 + B]) {
+            let diff = t - (s + x) / count;
+            *a += diff * diff;
+        }
+    }
+    dist[i0..i0 + B].copy_from_slice(&acc);
 }
 
 /// Random subsampling baseline (the "w/o herding" ablation): `m` distinct
@@ -164,5 +220,96 @@ mod tests {
         assert!(sel.iter().all(|&i| i < 10));
         let all = random_select(3, 10, &mut rng);
         assert_eq!(all.len(), 3);
+    }
+
+    /// Herding as it was written before candidates ran as lanes: one
+    /// candidate row at a time.
+    fn row_loop_reference(reprs: &Matrix, m: usize) -> Vec<usize> {
+        let (n, d) = reprs.shape();
+        let m = m.min(n);
+        if m == 0 || n == 0 {
+            return Vec::new();
+        }
+        let target = reprs.col_means();
+        let mut selected = Vec::with_capacity(m);
+        let mut taken = vec![false; n];
+        let mut running_sum = vec![0.0; d];
+        for k in 0..m {
+            let mut best: Option<(usize, f64)> = None;
+            for i in (0..n).filter(|&i| !taken[i]) {
+                let row = reprs.row(i);
+                let mut dist = 0.0;
+                for j in 0..d {
+                    let cand = (running_sum[j] + row[j]) / (k as f64 + 1.0);
+                    let diff = target[j] - cand;
+                    dist += diff * diff;
+                }
+                match best {
+                    Some((_, bd)) if dist >= bd => {}
+                    _ => best = Some((i, dist)),
+                }
+            }
+            let (idx, _) = best.expect("a free candidate");
+            taken[idx] = true;
+            for (s, &v) in running_sum.iter_mut().zip(reprs.row(idx)) {
+                *s += v;
+            }
+            selected.push(idx);
+        }
+        selected
+    }
+
+    /// Every candidate's lane-parallel score has the bits of the row
+    /// loop's score for it, at every step `k` of a selection, across
+    /// full blocks and tails.
+    #[test]
+    fn lane_scores_match_the_row_loop_bit_for_bit() {
+        let r = random_reprs(37, 32, 14);
+        let (target, pool) = (r.col_means(), r.transpose());
+        let mut sum = vec![0.0; 32];
+        let mut dist = vec![0.0; 37];
+        for k in 0..6 {
+            distances(&pool, &target, &sum, k as f64 + 1.0, &mut dist);
+            for (i, got) in dist.iter().enumerate() {
+                let mut want = 0.0;
+                for j in 0..32 {
+                    let diff = target[j] - (sum[j] + r[(i, j)]) / (k as f64 + 1.0);
+                    want += diff * diff;
+                }
+                assert_eq!(got.to_bits(), want.to_bits(), "k={k} candidate {i}");
+            }
+            for (s, &v) in sum.iter_mut().zip(r.row(k * 5)) {
+                *s += v;
+            }
+        }
+    }
+
+    /// The lane-parallel scan picks exactly what the row loop picks, at
+    /// pool sizes with full 16-candidate blocks and single-candidate
+    /// tails, for budgets from 0 to the whole pool; duplicated rows tie,
+    /// and a tie goes to the lowest index.
+    #[test]
+    fn lane_scan_matches_the_row_loop() {
+        for (n, d, seed) in [(1, 3, 10), (15, 4, 11), (37, 8, 12), (130, 32, 13)] {
+            let mut r = random_reprs(n, d, seed);
+            // Every third row repeats an earlier one.
+            for i in (3..n).step_by(3) {
+                for j in 0..d {
+                    r[(i, j)] = r[(i / 3, j)];
+                }
+            }
+            for m in [0, 1, n / 2, n - 1, n, n + 5] {
+                assert_eq!(
+                    herding_select(&r, m),
+                    row_loop_reference(&r, m),
+                    "n={n} d={d} m={m}"
+                );
+            }
+        }
+        // A pool of identical rows: every score ties at every step, so
+        // the selection is the index order.
+        let same = Matrix::from_fn(20, 5, |_, j| j as f64 * 0.25);
+        assert_eq!(herding_select(&same, 20), (0..20).collect::<Vec<_>>());
+        assert_eq!(row_loop_reference(&same, 20), (0..20).collect::<Vec<_>>());
     }
 }

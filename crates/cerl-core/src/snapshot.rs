@@ -825,6 +825,22 @@ impl ModelSnapshot {
                     self.config.net.repr_dim
                 )));
             }
+            // A non-finite exemplar would reach the next stage's tape and
+            // training would blame a weight for it; refuse it here, by row.
+            if let Some(row) =
+                (0..memory.len()).find(|&i| !memory.r.row(i).iter().all(|v| v.is_finite()))
+            {
+                return Err(CerlError::NonFiniteInput {
+                    field: "memory.r",
+                    row,
+                });
+            }
+            if let Some(row) = memory.y.iter().position(|v| !v.is_finite()) {
+                return Err(CerlError::NonFiniteInput {
+                    field: "memory.y",
+                    row,
+                });
+            }
         }
         Ok(())
     }

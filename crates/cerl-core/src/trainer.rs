@@ -67,7 +67,9 @@ pub(crate) fn validate_stage_inputs(
 /// buffers, the gradient's global norm is clipped to `cfg.clip_norm`
 /// (when positive) and Adam steps `params`. After each epoch `val_loss`
 /// feeds the early stopper, whose best parameters are restored at the
-/// end. The tape and its buffers are dropped with the stage.
+/// end; it gets the same tape, to reset and run a forward pass on
+/// without allocating one of its own. The tape and its buffers are
+/// dropped with the stage.
 ///
 /// `rng` draws each epoch's shuffle and is lent to `step_loss` in between,
 /// so a loss that samples (CERL's memory mini-batch) shares the stream.
@@ -78,7 +80,7 @@ pub(crate) fn run_stage<R: Rng>(
     n: usize,
     rng: &mut R,
     mut step_loss: impl FnMut(&mut Graph, &ParamStore, &[usize], &mut R) -> NodeId,
-    mut val_loss: impl FnMut(&ParamStore) -> Result<f64, CerlError>,
+    mut val_loss: impl FnMut(&mut Graph, &ParamStore) -> Result<f64, CerlError>,
 ) -> Result<TrainReport, CerlError> {
     let mut opt = Adam::new(cfg.learning_rate);
     let mut stopper = EarlyStopper::new(params.to_vec(), cfg.patience);
@@ -100,7 +102,7 @@ pub(crate) fn run_stage<R: Rng>(
             opt.step(store, grads, params);
         }
         final_train_loss = epoch_loss / batches.len().max(1) as f64;
-        if stopper.update(store, val_loss(store)?) {
+        if stopper.update(store, val_loss(&mut g, store)?) {
             break;
         }
     }

@@ -279,6 +279,11 @@ pub enum WireError {
         /// Bytes actually present.
         found: usize,
     },
+    /// A text field (an error detail or an admin body) is not UTF-8.
+    InvalidText {
+        /// Which field.
+        reading: &'static str,
+    },
     /// A well-framed request holds a NaN or infinite covariate. Unlike
     /// the other variants the framing is intact, so only this request is
     /// refused and the connection carries on.
@@ -318,6 +323,7 @@ impl fmt::Display for WireError {
                 f,
                 "declared shape needs {expected} payload bytes, found {found}"
             ),
+            WireError::InvalidText { reading } => write!(f, "{reading} is not valid UTF-8"),
             WireError::NonFiniteCovariate { request_id, row } => write!(
                 f,
                 "request {request_id} holds a non-finite covariate in row {row}"
@@ -374,6 +380,16 @@ impl<'a> Cursor<'a> {
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The next `len` bytes as text. They must be UTF-8: a lossy decode
+    /// would widen each invalid byte into a 3-byte replacement character,
+    /// so a frame could make its decoder allocate more than it sent.
+    fn text(&mut self, len: usize, reading: &'static str) -> Result<String, WireError> {
+        let bytes = self.take(len, reading)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| WireError::InvalidText { reading })
     }
 }
 
@@ -537,7 +553,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 found: cursor.remaining(),
             });
         }
-        let detail = String::from_utf8_lossy(cursor.take(len, "detail")?).into_owned();
+        let detail = cursor.text(len, "detail")?;
         Ok(Response::Error {
             request_id,
             status,
@@ -608,7 +624,7 @@ pub fn decode_admin_response(payload: &[u8]) -> Result<AdminResponse, WireError>
             found: cursor.remaining(),
         });
     }
-    let body = String::from_utf8_lossy(cursor.take(len, "body")?).into_owned();
+    let body = cursor.text(len, "body")?;
     Ok(AdminResponse {
         request_id,
         status,

@@ -3,8 +3,6 @@
 use super::Optimizer;
 use crate::backward::Gradients;
 use crate::params::{ParamId, ParamStore};
-use cerl_math::Matrix;
-use std::collections::HashMap;
 
 /// Adam with bias correction; `weight_decay` is decoupled (AdamW-style).
 #[derive(Debug, Clone)]
@@ -15,8 +13,16 @@ pub struct Adam {
     eps: f64,
     weight_decay: f64,
     t: u64,
-    m: HashMap<usize, Matrix>,
-    v: HashMap<usize, Matrix>,
+    /// First and second moment estimates, indexed by [`ParamId::index`];
+    /// `None` until the parameter first has a gradient.
+    moments: Vec<Option<Moments>>,
+}
+
+/// One parameter's moment estimates, entry for entry with its value.
+#[derive(Debug, Clone)]
+struct Moments {
+    m: Vec<f64>,
+    v: Vec<f64>,
 }
 
 impl Adam {
@@ -44,8 +50,7 @@ impl Adam {
             eps,
             weight_decay,
             t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
+            moments: Vec::new(),
         }
     }
 
@@ -53,50 +58,52 @@ impl Adam {
     /// optimizer across training phases).
     pub fn reset(&mut self) {
         self.t = 0;
-        self.m.clear();
-        self.v.clear();
+        self.moments.clear();
     }
 }
 
 impl Optimizer for Adam {
+    /// One pass per parameter: each entry's `m`, `v` and weight are
+    /// updated together, with the expressions (and so the roundings) of
+    /// the textbook sequence of whole-matrix passes — `m ← β₁m`,
+    /// `m ← m + (1−β₁)g`, `v ← β₂v`, `v ← v + (1−β₂)g²`, the decay
+    /// `w ← (1−ηλ)w`, then `w ← w − η·m̂/(√v̂ + ε)`.
     fn step(&mut self, store: &mut ParamStore, grads: &Gradients, params: &[ParamId]) {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+        let (s1, s2) = (1.0 - beta1, 1.0 - beta2);
+        let decay = (self.weight_decay > 0.0).then_some(1.0 - lr * self.weight_decay);
         for &pid in params {
             let Some(g) = grads.param_grad(pid) else {
                 continue;
             };
-            let m = self
-                .m
-                .entry(pid.index())
-                .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-            m.scale_inplace(self.beta1);
-            m.axpy(1.0 - self.beta1, g);
-            let v = self
-                .v
-                .entry(pid.index())
-                .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-            v.scale_inplace(self.beta2);
-            let s = 1.0 - self.beta2;
-            for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *vi += s * (gi * gi);
+            if self.moments.len() <= pid.index() {
+                self.moments.resize_with(pid.index() + 1, || None);
             }
-
+            let Moments { m, v } = self.moments[pid.index()].get_or_insert_with(|| Moments {
+                m: vec![0.0; g.len()],
+                v: vec![0.0; g.len()],
+            });
             let w = store.value_mut(pid);
-            let lr = self.lr;
-            if self.weight_decay > 0.0 {
-                w.scale_inplace(1.0 - lr * self.weight_decay);
-            }
-            for ((wi, mi), vi) in w
+            assert_eq!(w.len(), g.len(), "Adam: gradient shape mismatch");
+            assert_eq!(m.len(), g.len(), "Adam: moment shape mismatch");
+            let entries = w
                 .as_mut_slice()
                 .iter_mut()
-                .zip(m.as_slice())
-                .zip(v.as_slice())
-            {
-                let mhat = mi / b1t;
-                let vhat = vi / b2t;
-                *wi -= lr * mhat / (vhat.sqrt() + self.eps);
+                .zip(m.iter_mut().zip(v.iter_mut()));
+            for ((wi, (mi, vi)), &gi) in entries.zip(g.as_slice()) {
+                *mi *= beta1;
+                *mi += s1 * gi;
+                *vi *= beta2;
+                *vi += s2 * (gi * gi);
+                if let Some(decay) = decay {
+                    *wi *= decay;
+                }
+                let mhat = *mi / b1t;
+                let vhat = *vi / b2t;
+                *wi -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -114,6 +121,8 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use cerl_math::Matrix;
+    use std::collections::HashMap;
 
     #[test]
     fn adam_converges_on_quadratic() {
@@ -191,6 +200,119 @@ mod tests {
         assert_eq!(opt.t, 1);
         opt.reset();
         assert_eq!(opt.t, 0);
-        assert!(opt.m.is_empty() && opt.v.is_empty());
+        assert!(opt.moments.is_empty());
+    }
+
+    /// Adam as it was written before its update became one pass: five
+    /// whole-matrix passes per parameter over moments kept in maps.
+    struct FivePassAdam {
+        opt: Adam,
+        m: HashMap<usize, Matrix>,
+        v: HashMap<usize, Matrix>,
+    }
+
+    impl FivePassAdam {
+        fn step(&mut self, store: &mut ParamStore, grads: &Gradients, params: &[ParamId]) {
+            let o = &mut self.opt;
+            o.t += 1;
+            let b1t = 1.0 - o.beta1.powi(o.t as i32);
+            let b2t = 1.0 - o.beta2.powi(o.t as i32);
+            for &pid in params {
+                let Some(g) = grads.param_grad(pid) else {
+                    continue;
+                };
+                let m = self
+                    .m
+                    .entry(pid.index())
+                    .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
+                m.scale_inplace(o.beta1);
+                m.axpy(1.0 - o.beta1, g);
+                let v = self
+                    .v
+                    .entry(pid.index())
+                    .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
+                v.scale_inplace(o.beta2);
+                let s = 1.0 - o.beta2;
+                for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                    *vi += s * (gi * gi);
+                }
+                let w = store.value_mut(pid);
+                if o.weight_decay > 0.0 {
+                    w.scale_inplace(1.0 - o.lr * o.weight_decay);
+                }
+                for ((wi, mi), vi) in w
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(m.as_slice())
+                    .zip(v.as_slice())
+                {
+                    let mhat = mi / b1t;
+                    let vhat = vi / b2t;
+                    *wi -= o.lr * mhat / (vhat.sqrt() + o.eps);
+                }
+            }
+        }
+    }
+
+    /// The one-pass update moves every weight to the same bits as the
+    /// five-pass reference, step after step, with and without weight
+    /// decay, on a loss whose gradients change sign and scale as the
+    /// weights move; a parameter without a gradient is left alone by both.
+    #[test]
+    fn one_pass_update_matches_the_five_pass_reference() {
+        for weight_decay in [0.0, 0.05] {
+            let mut store = ParamStore::new();
+            let w = store.add(
+                "w",
+                Matrix::from_fn(3, 4, |i, j| ((i * 4 + j) as f64 * 0.7).sin()),
+            );
+            let b = store.add("b", Matrix::from_fn(1, 4, |_, j| j as f64 * 0.1 - 0.2));
+            let unused = store.add("unused", Matrix::filled(2, 2, 0.5));
+            let mut ref_store = store.clone();
+            let params = [w, b, unused];
+            let x = Matrix::from_fn(5, 3, |i, j| ((i + 2 * j) as f64 * 0.37).cos());
+            let y = Matrix::from_fn(5, 4, |i, j| ((i * j) as f64 * 0.11).sin());
+            let grads_at = |g: &mut Graph, store: &ParamStore| {
+                g.reset();
+                let xin = g.input(x.clone());
+                let yin = g.input(y.clone());
+                let wp = g.param(store, w);
+                let bp = g.param(store, b);
+                let h = g.matmul(xin, wp);
+                let h = g.add_row_broadcast(h, bp);
+                let h = g.tanh(h);
+                let loss = crate::compose::mse(g, h, yin);
+                g.backward(loss);
+            };
+            let mut opt = Adam::with_config(0.05, 0.9, 0.999, 1e-8, weight_decay);
+            let mut reference = FivePassAdam {
+                opt: opt.clone(),
+                m: HashMap::new(),
+                v: HashMap::new(),
+            };
+            let (mut g, mut ref_g) = (Graph::new(), Graph::new());
+            for step in 0..60 {
+                grads_at(&mut g, &store);
+                grads_at(&mut ref_g, &ref_store);
+                opt.step(&mut store, &g.grads, &params);
+                reference.step(&mut ref_store, &ref_g.grads, &params);
+                for &p in &params {
+                    let bits = |s: &ParamStore| {
+                        s.value(p)
+                            .as_slice()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        bits(&store),
+                        bits(&ref_store),
+                        "decay {weight_decay}, step {step}, {}",
+                        store.name(p)
+                    );
+                }
+            }
+            assert_eq!(store.value(unused).as_slice(), &[0.5; 4]);
+        }
     }
 }

@@ -5,17 +5,31 @@
 //! line of work, which computes it with Sinkhorn iterations.
 //!
 //! The solver runs in scaling form: it builds the Gibbs kernel
-//! `K = exp(−C/ε)` once, alternates `u = a ⊘ (K v)` and `v = b ⊘ (Kᵀ u)` as
-//! row-major GEMV sweeps, and forms the plan `P = diag(u) K diag(v)` in
-//! `K`'s buffer — one `exp` per cell per solve instead of two per cell per
-//! iteration. These are the iterates of the log-domain potentials
-//! (`u = e^{f/ε}`, `v = e^{g/ε}`, both starting at 1), so both forms agree
-//! up to rounding. When `K` could underflow (`max |C|/ε` above 200) or a
-//! scaling comes out non-finite or non-positive, the solver falls back to
-//! the log-domain form, which is robust to small `ε` and lets a non-finite
-//! cost surface as a non-finite result.
+//! `K = exp(−C/ε)` once, alternates `u = a ⊘ (K v)` and `v = b ⊘ (Kᵀ u)`,
+//! and forms the plan `P = diag(u) K diag(v)` in `K`'s buffer — one `exp`
+//! per cell per solve instead of two per cell per iteration. These are the
+//! iterates of the log-domain potentials (`u = e^{f/ε}`, `v = e^{g/ε}`,
+//! both starting at 1), so both forms agree up to rounding. When `K` could
+//! underflow (`max |C|/ε` above 200) or a scaling comes out non-finite or
+//! non-positive, the solver falls back to the log-domain form, which is
+//! robust to small `ε` and lets a non-finite cost surface as a non-finite
+//! result.
+//!
+//! # Per-lane order
+//!
+//! Both products are swept across independent lanes: `K v` across the rows
+//! of `K` (read as the rows of `Kᵀ`, transposed once per solve) and `Kᵀ u`
+//! across its columns, a register block of lanes at a time. Each lane is
+//! one sum, added term by term in a fixed order: lane `i` of `K v` starts
+//! where `Iterator::sum` starts and adds `K_ij·v_j` for `j = 0, 1, …` —
+//! exactly what `cerl_math::dot(K.row(i), v)` computes — and lane `j` of
+//! `Kᵀ u` starts at `0.0` and adds `u_i·K_ij` for `i = 0, 1, …`. Only
+//! independent sums run side by side; no sum is split. A `dot` reordered
+//! along its own axis (pairwise or multi-accumulator, as a vectoriser
+//! would need) would round differently, move the plan's last bits and
+//! with them every trained model, so the lanes run across rows instead.
 
-use cerl_math::{dot, Matrix};
+use cerl_math::Matrix;
 
 /// Largest `|C_ij|/ε` the scaling form accepts. `exp(−200)` ≈ 1e-87 leaves
 /// the scalings ~220 decades of headroom before they over- or underflow;
@@ -127,38 +141,85 @@ fn scaling_form(
     {
         return None;
     }
+    let (n, m) = cost.shape();
     let mut k = cost.map(|c| (-c / eps).exp());
-    let mut u = vec![1.0; a.len()];
-    let mut v = vec![1.0; b.len()];
-    let mut kt_u = vec![0.0; b.len()];
+    let kt = k.transpose();
+    // u, v and the two products, in one buffer.
+    let mut scratch = vec![1.0; 2 * (n + m)];
+    let (u, rest) = scratch.split_at_mut(n);
+    let (v, rest) = rest.split_at_mut(m);
+    let (k_v, kt_u) = rest.split_at_mut(n);
+    // Where `Iterator::sum` (and so `cerl_math::dot`) starts.
+    let sum_start: f64 = std::iter::empty::<f64>().sum();
     for _ in 0..iterations {
-        // u ← a ⊘ (K v)
-        for (i, (ui, &ai)) in u.iter_mut().zip(a).enumerate() {
-            *ui = ai / dot(k.row(i), &v);
+        // u ← a ⊘ (K v): lane i sums K_ij·v_j over the rows j of Kᵀ.
+        lane_sums(kt.as_slice(), v, sum_start, k_v);
+        for ((ui, &ai), &s) in u.iter_mut().zip(a).zip(k_v.iter()) {
+            *ui = ai / s;
         }
-        // v ← b ⊘ (Kᵀ u), accumulated row by row so K is read row-major.
-        kt_u.fill(0.0);
-        for (i, &ui) in u.iter().enumerate() {
-            for (s, &kij) in kt_u.iter_mut().zip(k.row(i)) {
-                *s += ui * kij;
-            }
-        }
-        for ((vj, &bj), &s) in v.iter_mut().zip(b).zip(&kt_u) {
+        // v ← b ⊘ (Kᵀ u): lane j sums u_i·K_ij over the rows i of K.
+        lane_sums(k.as_slice(), u, 0.0, kt_u);
+        for ((vj, &bj), &s) in v.iter_mut().zip(b).zip(kt_u.iter()) {
             *vj = bj / s;
         }
-        if !u.iter().chain(&v).all(|&x| x.is_finite() && x > 0.0) {
+        if !u.iter().chain(v.iter()).all(|&x| x.is_finite() && x > 0.0) {
             return None;
         }
     }
     // P = diag(u) K diag(v), in place.
     let mut total = 0.0;
     for (i, &ui) in u.iter().enumerate() {
-        for ((p, &vj), &c) in k.row_mut(i).iter_mut().zip(&v).zip(cost.row(i)) {
+        for ((p, &vj), &c) in k.row_mut(i).iter_mut().zip(v.iter()).zip(cost.row(i)) {
             *p *= ui * vj;
             total += *p * c;
         }
     }
     Some((k, total))
+}
+
+/// Lanes per register block of [`lane_sums`]: enough independent sums in
+/// flight to hide the latency of each one's additions.
+const BLOCK: usize = 32;
+
+/// `out[l] = start + Σ_r x[r]·rows[r·w + l]` for every lane `l < w =
+/// out.len()`, where `rows` is a row-major `x.len() × w` matrix: each lane
+/// adds its terms in row order `r = 0, 1, …`, one rounding per term (see
+/// the [module docs](self) on per-lane order).
+fn lane_sums(rows: &[f64], x: &[f64], start: f64, out: &mut [f64]) {
+    let w = out.len();
+    debug_assert_eq!(rows.len(), x.len() * w, "lane_sums: shape mismatch");
+    let mut l0 = 0;
+    while l0 + BLOCK <= w {
+        lane_block::<BLOCK>(rows, w, l0, x, start, out);
+        l0 += BLOCK;
+    }
+    while l0 + 8 <= w {
+        lane_block::<8>(rows, w, l0, x, start, out);
+        l0 += 8;
+    }
+    while l0 < w {
+        lane_block::<1>(rows, w, l0, x, start, out);
+        l0 += 1;
+    }
+}
+
+/// [`lane_sums`] for lanes `l0..l0 + B`, accumulated in registers.
+#[inline(always)]
+fn lane_block<const B: usize>(
+    rows: &[f64],
+    w: usize,
+    l0: usize,
+    x: &[f64],
+    start: f64,
+    out: &mut [f64],
+) {
+    let mut acc = [start; B];
+    for (row, &xr) in rows.chunks_exact(w).zip(x) {
+        for (a, &r) in acc.iter_mut().zip(&row[l0..l0 + B]) {
+            *a += r * xr;
+        }
+    }
+    out[l0..l0 + B].copy_from_slice(&acc);
 }
 
 /// Log-domain Sinkhorn on the potentials `f`, `g`, returning the plan and
@@ -393,6 +454,88 @@ mod tests {
             let r = sinkhorn_uniform(&cost, &c);
             assert!(!r.cost.is_finite(), "{c:?}: cost {}", r.cost);
             assert!(!r.plan.all_finite(), "{c:?}: finite plan from a NaN cost");
+        }
+    }
+
+    /// The scaling form as it was written before its sweeps ran across
+    /// lanes: `K v` as one `dot` per row, `Kᵀ u` accumulated row by row.
+    fn dot_sweep_reference(
+        cost: &Matrix,
+        a: &[f64],
+        b: &[f64],
+        eps: f64,
+        iterations: usize,
+    ) -> (Matrix, f64) {
+        let mut k = cost.map(|c| (-c / eps).exp());
+        let mut u = vec![1.0; a.len()];
+        let mut v = vec![1.0; b.len()];
+        let mut kt_u = vec![0.0; b.len()];
+        for _ in 0..iterations {
+            for (i, (ui, &ai)) in u.iter_mut().zip(a).enumerate() {
+                *ui = ai / cerl_math::dot(k.row(i), &v);
+            }
+            kt_u.fill(0.0);
+            for (i, &ui) in u.iter().enumerate() {
+                for (s, &kij) in kt_u.iter_mut().zip(k.row(i)) {
+                    *s += ui * kij;
+                }
+            }
+            for ((vj, &bj), &s) in v.iter_mut().zip(b).zip(&kt_u) {
+                *vj = bj / s;
+            }
+        }
+        let mut total = 0.0;
+        for (i, &ui) in u.iter().enumerate() {
+            for ((p, &vj), &c) in k.row_mut(i).iter_mut().zip(&v).zip(cost.row(i)) {
+                *p *= ui * vj;
+                total += *p * c;
+            }
+        }
+        (k, total)
+    }
+
+    /// The lane sweeps change no bit: every plan entry and the cost equal
+    /// the `dot`-per-row reference's, at shapes that exercise full
+    /// 32-lane blocks, 8-lane blocks and single-lane tails on both axes,
+    /// under an absolute and a cost-relative ε.
+    #[test]
+    fn lane_sweeps_match_the_dot_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let shapes = [(1, 1), (3, 5), (17, 4), (61, 64), (64, 64), (70, 58)];
+        let modes = [
+            SinkhornConfig {
+                epsilon: 0.5,
+                epsilon_mode: EpsilonMode::Absolute,
+                iterations: 50,
+            },
+            SinkhornConfig::default(),
+        ];
+        for (n, m) in shapes {
+            let cost = Matrix::from_fn(n, m, |_, _| rng.gen::<f64>() * 4.0);
+            let (a, b) = (probabilities(&mut rng, n), probabilities(&mut rng, m));
+            for cfg in modes {
+                let r = sinkhorn_plan(&cost, &a, &b, &cfg);
+                let eps = r.effective_epsilon;
+                assert!(
+                    scaling_form(&cost, &a, &b, eps, cfg.iterations).is_some(),
+                    "{n}x{m}: the scaling form applies"
+                );
+                let (plan, total) = dot_sweep_reference(&cost, &a, &b, eps, cfg.iterations);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&r.plan),
+                    bits(&plan),
+                    "{n}x{m} {:?}: plan",
+                    cfg.epsilon_mode
+                );
+                assert_eq!(
+                    r.cost.to_bits(),
+                    total.to_bits(),
+                    "{n}x{m} {:?}: cost",
+                    cfg.epsilon_mode
+                );
+            }
         }
     }
 }

@@ -36,27 +36,48 @@ pub fn rewrap_meta(container: &[u8], edit: impl FnOnce(&str) -> String) -> Vec<u
 }
 
 /// `container` (f64 payload) with the first element of the parameter
-/// `name` set to `value`. The meta document names each parameter beside
-/// the `{"$floats":k}` placeholder of its data; the payload section holds
-/// the array count (u32), then each array's length (u64) and its floats.
+/// `name` set to `value`.
 pub fn with_param_float(container: &[u8], name: &str, value: f64) -> Vec<u8> {
     assert_eq!(container[12], 0, "an f64-payload container");
+    with_float(container, &[&format!(r#""name":"{name}""#)], 0, value)
+}
+
+/// `container` (f64 or f32 payload) with element `index` of a float array
+/// set to `value`: the array whose `{"$floats":k}` placeholder comes first
+/// after `needles`, each found in the meta document after the one before
+/// (`[r#""memory":"#, r#""y":"#]` names the memory's outcomes). The
+/// payload section holds the array count (u32), then each array's length
+/// (u64) and its floats, 8 or 4 bytes each.
+pub fn with_float(container: &[u8], needles: &[&str], index: usize, value: f64) -> Vec<u8> {
+    let width = match container[12] {
+        0 => 8,
+        1 => 4,
+        kind => panic!("payload kind {kind}"),
+    };
     let meta_len = u64::from_le_bytes(container[24..32].try_into().unwrap()) as usize;
     let meta = std::str::from_utf8(&container[HEADER_LEN..HEADER_LEN + meta_len]).unwrap();
-    let param = meta
-        .find(&format!(r#""name":"{name}""#))
-        .expect("parameter in the snapshot");
+    let mut at_meta = 0;
+    for needle in needles {
+        at_meta += meta[at_meta..].find(needle).expect("field in the snapshot") + needle.len();
+    }
     let key = r#""$floats":"#;
-    let index = &meta[param..][meta[param..].find(key).unwrap() + key.len()..];
-    let k: usize = index[..index.find('}').unwrap()].parse().unwrap();
+    let placeholder = &meta[at_meta..][meta[at_meta..].find(key).unwrap() + key.len()..];
+    let k: usize = placeholder[..placeholder.find('}').unwrap()]
+        .parse()
+        .unwrap();
     let mut at = HEADER_LEN + meta_len + 4;
     for _ in 0..k {
         let len = u64::from_le_bytes(container[at..at + 8].try_into().unwrap()) as usize;
-        at += 8 + 8 * len;
+        at += 8 + width * len;
     }
-    at += 8;
+    let len = u64::from_le_bytes(container[at..at + 8].try_into().unwrap()) as usize;
+    assert!(index < len, "element {index} of a {len}-float array");
+    at += 8 + width * index;
     let mut out = container.to_vec();
-    out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    match width {
+        8 => out[at..at + 8].copy_from_slice(&value.to_le_bytes()),
+        _ => out[at..at + 4].copy_from_slice(&(value as f32).to_le_bytes()),
+    }
     out
 }
 

@@ -5,7 +5,7 @@
 use cerl::prelude::*;
 
 mod common;
-use common::{rewrap_meta, with_param_float};
+use common::{rewrap_meta, with_float, with_param_float};
 
 fn quick_cfg() -> CerlConfig {
     let mut cfg = CerlConfig::quick_test();
@@ -579,6 +579,54 @@ fn a_nan_weight_is_refused_on_every_path() {
         );
         assert_eq!(serving.version(), 1, "nothing was published");
         assert_eq!(serving.predict_ite(x).unwrap(), before);
+    }
+}
+
+/// A snapshot whose replay memory holds a NaN or infinite representation
+/// or outcome is refused on restore, naming the field and the row, in F64
+/// and F32 containers alike. It used to restore, and the next `observe`
+/// trained a whole stage on it before blaming a weight
+/// (`NonFiniteParameter`), or panicked on the tape in a debug build.
+#[test]
+fn a_non_finite_memory_row_is_refused_on_restore() {
+    let stream = quick_stream(1, 26);
+    let mut engine = CerlEngineBuilder::new(quick_cfg())
+        .seed(26)
+        .build()
+        .unwrap();
+    engine
+        .observe(&stream.domain(0).train, &stream.domain(0).val)
+        .unwrap();
+    let serving = ServingEngine::new(engine.clone());
+    let x = &stream.domain(0).test.x;
+    let before = serving.predict_ite(x).unwrap();
+    let dim = quick_cfg().net.repr_dim;
+    let cases = [
+        ("memory.r", 3, r#""r":"#, 3 * dim + 1),
+        ("memory.y", 5, r#""y":"#, 5),
+    ];
+    for payload in [SnapshotPayload::F64, SnapshotPayload::F32] {
+        let bytes = engine.save_bytes_binary(payload).unwrap();
+        assert!(CerlEngine::load_bytes(&bytes).is_ok(), "{payload:?}");
+        for (field, row, key, element) in cases {
+            for value in [f64::NAN, f64::INFINITY] {
+                let poisoned = with_float(&bytes, &[r#""memory":"#, key], element, value);
+                let want = CerlError::NonFiniteInput { field, row };
+                let case = format!("{payload:?} {field} = {value}");
+                assert_eq!(
+                    CerlEngine::load_bytes(&poisoned).err(),
+                    Some(want.clone()),
+                    "load_bytes, {case}"
+                );
+                assert_eq!(
+                    serving.swap_snapshot_bytes_warm(&poisoned).unwrap_err(),
+                    want,
+                    "swap_snapshot_bytes_warm, {case}"
+                );
+                assert_eq!(serving.version(), 1, "nothing was published, {case}");
+                assert_eq!(serving.predict_ite(x).unwrap(), before, "{case}");
+            }
+        }
     }
 }
 
